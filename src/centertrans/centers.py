@@ -9,6 +9,10 @@ a point, so the region centroid is an explicit convention of this
 artifact (reports carry the label); it coincides with the deepest point
 whenever that point is unique.  Equality with the bound routes to the
 sufficient branch, where the region is achieved and full rank.
+
+The depth of the measure and its region come from one level search in
+``depth`` (the prefix/suffix interval on the line); only the sufficient
+case builds a second region, at the bound.
 """
 
 from dataclasses import dataclass
@@ -17,8 +21,10 @@ from fractions import Fraction
 from .cloud import _as_fraction
 from .depth import (
     DepthRegion,
+    _deepest_common_region,
+    _interval_1d,
+    _region_vertices,
     depth_of_measure,
-    depth_region,
     thresholds,
 )
 from .errors import DomainError, InternalConsistencyError
@@ -64,52 +70,26 @@ def classify(cloud, n):
     return INSUFFICIENT if dm.value < improved else SUFFICIENT
 
 
-def _interval_1d(cloud, level):
-    """Superlevel interval {x : depth >= level} on the line."""
-    mass = {}
-    for (p,), w in cloud.atoms:
-        mass[p] = mass.get(p, Fraction(0)) + w
-    vals = sorted(mass)
-    run = Fraction(0)
-    prefix = {}
-    for v in vals:
-        run += mass[v]
-        prefix[v] = run
-    run = Fraction(0)
-    suffix = {}
-    for v in reversed(vals):
-        run += mass[v]
-        suffix[v] = run
-    lo_candidates = [v for v in vals if prefix[v] >= level]
-    hi_candidates = [v for v in vals if suffix[v] >= level]
-    if not lo_candidates or not hi_candidates:
-        return None
-    lo, hi = min(lo_candidates), max(hi_candidates)
-    if lo > hi:
-        return None
-    return lo, hi
-
-
 def center_point(cloud, n):
     """Associated point c of the measure, with its region and classification."""
     _check_exact_dim(cloud, n)
-    dm, _ = depth_of_measure(cloud)
     improved = thresholds(n)[1]
-    if dm.value < improved:
-        classification = INSUFFICIENT
-        level = dm.value
-    else:
-        classification = SUFFICIENT
-        level = improved
     if cloud.dim == 2:
-        region = depth_region(cloud, level)
-        if region.is_empty():
+        dm, verts = _deepest_common_region([cloud])
+        level = min(dm, improved)
+        if dm >= improved:
+            verts = _region_vertices([cloud], improved)
+        if not verts:
             raise InternalConsistencyError(
                 "superlevel region empty at an achieved level %s" % (level,)
             )
+        region = DepthRegion(verts, tau=level)
         c = region.centroid()
     else:
-        interval = _interval_1d(cloud, level)
+        dm, interval = _interval_1d(cloud)
+        level = min(dm, improved)
+        if dm >= improved:
+            _, interval = _interval_1d(cloud, improved)
         if interval is None:
             raise InternalConsistencyError(
                 "superlevel interval empty at an achieved level %s" % (level,)
@@ -118,9 +98,9 @@ def center_point(cloud, n):
         c = ((lo + hi) / 2,)
         region = None
     return CenterReport(
-        depth_of_measure=dm.value,
+        depth_of_measure=dm,
         threshold=improved,
-        classification=classification,
+        classification=INSUFFICIENT if dm < improved else SUFFICIENT,
         c=tuple(_as_fraction(x) for x in c),
         region=region,
     )

@@ -7,6 +7,7 @@ seeds and inputs rerun to byte-identical report files.  Exit codes:
 """
 
 import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -372,9 +373,21 @@ def build_parser():
     return parser
 
 
+def _bind_point_values(argv):
+    """'--point -1/2,3/4' -> '--point=-1/2,3/4', which argparse would
+    otherwise read as an option (it only knows plain negative numbers)."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--point" and re.match(r"-[0-9./]", arg):
+            out[-1] = "--point=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_point_values(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         code = args.func(args)

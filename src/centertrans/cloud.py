@@ -34,7 +34,9 @@ class WeightedPointCloud:
 
     Treated as immutable after construction; all operations return new
     clouds.  Integer rescalings of the weights and coordinates are cached
-    lazily because the exact depth routines work on integers.
+    lazily because the exact depth routines work on integers, and so is
+    the planar direction table that ``depth`` builds for region queries
+    (``_direction_table``, derived from the atoms alone).
     """
 
     def __init__(self, dim, atoms):
@@ -59,6 +61,7 @@ class WeightedPointCloud:
         self.atoms = tuple(packed)
         self._int_weights = None
         self._int_points = None
+        self._direction_table = None
 
     def __len__(self):
         return len(self.atoms)
@@ -108,11 +111,15 @@ class WeightedPointCloud:
 
     @classmethod
     def from_dict(cls, data):
-        atoms = [
-            (tuple(parse_frac(c) for c in atom["x"]), parse_frac(atom["w"]))
-            for atom in data["atoms"]
-        ]
-        return cls(int(data["dim"]), atoms)
+        try:
+            dim = int(data["dim"])
+            atoms = [
+                (tuple(parse_frac(c) for c in atom["x"]), parse_frac(atom["w"]))
+                for atom in data["atoms"]
+            ]
+        except (TypeError, ValueError) as exc:
+            raise DomainError("malformed cloud data: %s" % (exc,)) from exc
+        return cls(dim, atoms)
 
     def to_tsv(self):
         header = "\t".join(["x%d" % (i + 1) for i in range(self.dim)] + ["weight"])

@@ -12,15 +12,16 @@ halfplanes normal to atom differences (plus the coordinate axes, which
 keep degenerate clouds bounded): between consecutive such normals the
 projection order of the atoms is constant, so the supporting threshold
 rotates through an atom and the intermediate constraints are implied by
-the two bounding ones.  The depth of a measure is then the largest
-achievable mass level with a nonempty region, found by binary search
-over the finite level set.
+the two bounding ones.  One clip against the halfplanes of several
+clouds gives the intersection of their regions, and one binary search
+over their finite level set finds the largest level at which it is
+nonempty: for one cloud, the depth of the measure.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -454,19 +455,25 @@ class _DirectionTable:
 
 
 def _direction_table(cloud):
-    table = getattr(cloud, "_direction_table", None)
-    if table is None:
-        table = _DirectionTable(cloud)
-        cloud._direction_table = table
-    return table
+    if cloud._direction_table is None:
+        cloud._direction_table = _DirectionTable(cloud)
+    return cloud._direction_table
 
 
-def _region_vertices(cloud, tau, canonical=True):
-    table = _direction_table(cloud)
-    planes = table.halfplanes(tau)
-    if planes is None:
-        return ()
-    return polygon.clip_many(table.start_box(), planes, canonical=canonical)
+def _region_vertices(clouds, tau, canonical=True):
+    """Intersection of the clouds' superlevel regions at tau, by one clip.
+
+    The axis halfplanes keep every region inside its atoms' bounding box,
+    so the first cloud's start box contains the intersection.
+    """
+    tables = [_direction_table(c) for c in clouds]
+    planes = []
+    for table in tables:
+        hp = table.halfplanes(tau)
+        if hp is None:
+            return ()
+        planes.extend(hp)
+    return polygon.clip_many(tables[0].start_box(), planes, canonical=canonical)
 
 
 def depth_region(cloud, tau):
@@ -476,55 +483,58 @@ def depth_region(cloud, tau):
     tau = _as_fraction(tau)
     if not 0 < tau <= 1:
         raise DomainError("tau must lie in (0, 1]")
-    return DepthRegion(_region_vertices(cloud, tau), tau=tau)
+    return DepthRegion(_region_vertices([cloud], tau), tau=tau)
 
 
-def _max_depth_2d(cloud):
-    table = _direction_table(cloud)
-    levels = table.levels
-    d_den = table.weight_den
+def _deepest_common_region(clouds):
+    """(largest level whose regions all meet, their canonical intersection).
 
-    def feasible(level_int):
-        return bool(_region_vertices(cloud, Fraction(level_int, d_den), canonical=False))
+    Binary search over the union of the clouds' levels, top level first;
+    nonemptiness is monotone in the level, so the probe order does not
+    change the answer.  (0, ()) when even the lowest level fails.
+    """
+    levels = sorted(
+        {Fraction(lv, t.weight_den) for t in map(_direction_table, clouds) for lv in t.levels}
+    )
+    hi = len(levels) - 1
+    best = _region_vertices(clouds, levels[hi], canonical=False)
+    if best:
+        return levels[hi], polygon.normalize(best)
+    # levels[hi] fails and levels[lo] meets (lo = -1: none yet); rounding
+    # mid up probes the lowest level only when every level above it failed
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        loop = _region_vertices(clouds, levels[mid], canonical=False)
+        if loop:
+            lo, best = mid, loop
+        else:
+            hi = mid
+    if lo < 0:
+        return Fraction(0), ()
+    return levels[lo], polygon.normalize(best)
 
-    lo, hi = 0, len(levels) - 1
-    if feasible(levels[hi]):
-        lo = hi
-    else:
-        # invariant: feasible(levels[lo]), not feasible(levels[hi])
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if feasible(levels[mid]):
-                lo = mid
-            else:
-                hi = mid
-    tau = Fraction(levels[lo], d_den)
-    region = depth_region(cloud, tau)
-    if region.is_empty():
-        raise InternalConsistencyError("achieved depth level has empty region")
-    return DepthValue(tau, None), region.centroid()
 
+def _interval_1d(cloud, level=None):
+    """(level, (lo, hi)) with [lo, hi] = {x : depth >= level} on the line.
 
-def _depth_1d_measure(cloud):
+    A level of None means the depth of the measure; the interval is None
+    when the superlevel set is empty.
+    """
     mass = {}
     for (p,), w in cloud.atoms:
         mass[p] = mass.get(p, Fraction(0)) + w
     vals = sorted(mass)
-    prefix = {}
-    run = Fraction(0)
-    for v in vals:
-        run += mass[v]
-        prefix[v] = run
-    suffix = {}
-    run = Fraction(0)
-    for v in reversed(vals):
-        run += mass[v]
-        suffix[v] = run
-    # the maximum of min(mass <= x, mass >= x) is attained at an atom
-    best = max(min(prefix[v], suffix[v]) for v in vals)
-    lo = min(v for v in vals if prefix[v] >= best)
-    hi = max(v for v in vals if suffix[v] >= best)
-    return DepthValue(best, None), ((lo + hi) / 2,)
+    prefix = list(accumulate(mass[v] for v in vals))
+    suffix = list(accumulate(mass[v] for v in reversed(vals)))[::-1]
+    if level is None:
+        # the maximum of min(mass <= x, mass >= x) is attained at an atom
+        level = max(map(min, prefix, suffix))
+    lo = next((v for v, m in zip(vals, prefix) if m >= level), None)
+    hi = next((v for v, m in zip(reversed(vals), reversed(suffix)) if m >= level), None)
+    if lo is None or hi is None or lo > hi:
+        return level, None
+    return level, (lo, hi)
 
 
 def depth_of_measure(cloud, allow_approximate=False, seed=0):
@@ -534,9 +544,13 @@ def depth_of_measure(cloud, allow_approximate=False, seed=0):
     explicitly via allow_approximate.
     """
     if cloud.dim == 1:
-        return _depth_1d_measure(cloud)
+        level, (lo, hi) = _interval_1d(cloud)
+        return DepthValue(level, None), ((lo + hi) / 2,)
     if cloud.dim == 2:
-        return _max_depth_2d(cloud)
+        level, region = _deepest_common_region([cloud])
+        if not region:
+            raise InternalConsistencyError("achieved depth level has empty region")
+        return DepthValue(level, None), polygon.centroid(region)
     if not allow_approximate:
         raise DomainError(
             "exact depth of a measure is only available in dimensions 1 and 2"

@@ -200,7 +200,11 @@ def _segment_intersection(a, b, p, q):
 
 
 def intersect(p_vertices, q_vertices):
-    """Intersection of two canonical convex regions, canonical output."""
+    """Intersection of two canonical convex regions, canonical output.
+
+    The depth code intersects regions by clipping all of their halfplanes
+    at once; this pairwise form is the reference the tests compare it to.
+    """
     p = tuple(p_vertices)
     q = tuple(q_vertices)
     if not p or not q:

@@ -42,14 +42,6 @@ def parse_frac(s, max_denominator=None):
     return f
 
 
-def frac_vec(vec):
-    return [frac_str(x) for x in vec]
-
-
-def parse_frac_vec(items):
-    return tuple(parse_frac(x) for x in items)
-
-
 def float_list(vec, digits=15):
     """Decimal rendering for real-valued vectors (15 significant digits)."""
     return [float(("%." + str(digits) + "g") % float(x)) for x in vec]
@@ -66,4 +58,7 @@ def dump_json(obj, path=None):
 
 def load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError("%s is not valid JSON: %s" % (path, exc)) from exc

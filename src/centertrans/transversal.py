@@ -1,12 +1,12 @@
 """Search for subspaces whose marginals all reach the improved depth bound.
 
 The inner problem (best common depth level of several planar marginals)
-is solved exactly: depth levels form a finite set of rationals, the
-superlevel regions are exact polygons, and the largest level whose
-regions intersect is found by binary search with exact emptiness
-certificates.  The outer problem (which subspace) is random-restart hill
-climbing with plane-rotation moves; a move is accepted only when the
-exact objective strictly increases.
+is solved exactly by the level search of ``depth``: depth levels form a
+finite set of rationals, and the largest level at which one clip
+against every marginal's halfplanes stays nonempty is found by binary
+search with exact emptiness certificates.  The outer problem (which
+subspace) is random-restart hill climbing with plane-rotation moves; a
+move is accepted only when the exact objective strictly increases.
 
 Determinism contract: every restart draws its randomness from a child of
 the master seed, and the merged result is the first restart index that
@@ -26,7 +26,7 @@ import numpy as np
 from . import polygon
 from .centers import center_point
 from .cloud import OrthoFrame, _as_fraction
-from .depth import _direction_table, _region_vertices, marginal, thresholds, tukey_depth
+from .depth import _deepest_common_region, marginal, thresholds, tukey_depth
 from .errors import DomainError
 from .schubert import min_dimension
 from .serialize import frac_str
@@ -120,46 +120,17 @@ def _common_level(marginals):
     """Largest exact level whose superlevel regions all intersect.
 
     Returns (level, witness) where the witness is the centroid of the
-    intersection; (0, fallback point) when even the lowest level fails.
+    intersection; (0, mean of the first marginal) when even the lowest
+    level fails, as it does for marginals with disjoint hulls.
     """
-    levels = sorted(
-        {
-            Fraction(lv, _direction_table(m).weight_den)
-            for m in marginals
-            for lv in _direction_table(m).levels
-        }
-    )
-
-    def intersection_at(tau):
-        inter = None
-        for m in marginals:
-            verts = _region_vertices(m, tau)
-            if not verts:
-                return None
-            inter = verts if inter is None else polygon.intersect(inter, verts)
-            if not inter:
-                return None
-        return inter
-
-    best = intersection_at(levels[0])
-    if best is None:
+    level, region = _deepest_common_region(marginals)
+    if not region:
         first = marginals[0]
         mean = tuple(
             sum(p[i] * w for p, w in first.atoms) for i in range(first.dim)
         )
         return Fraction(0), mean
-    lo, hi = 0, len(levels) - 1
-    top = intersection_at(levels[hi])
-    if top is not None:
-        return levels[hi], polygon.centroid(top)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        inter = intersection_at(levels[mid])
-        if inter is not None:
-            lo, best = mid, inter
-        else:
-            hi = mid
-    return levels[lo], polygon.centroid(best)
+    return level, polygon.centroid(region)
 
 
 def _objective_parts(frame, clouds, n):

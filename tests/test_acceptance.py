@@ -6,6 +6,7 @@ and documented budgets well inside the allowed caps (200/500 restarts,
 worker count and demands byte-identical reports.
 """
 
+import hashlib
 import os
 import time
 from fractions import Fraction
@@ -334,3 +335,18 @@ def test_criterion_10_determinism(centerline_run, maintheorem_run):
     ok = first_center == [dump_json(r.to_dict()) for r in rerun_center]
     ok = ok and first_main == [dump_json(r.to_dict()) for r in rerun_main]
     _report(10, "determinism", ok, "reruns byte-identical across thread counts")
+
+
+# SHA-256 of the concatenated dump_json reports of each suite, in suite
+# order: any change to a report shows here.  The reports hold floats from
+# numpy's QR, so another numpy or BLAS build may need them recomputed.
+REPORT_DIGESTS = {
+    8: "167c2e838859f389d3b24799b1a4d1c6ee99fb3360bada870dc70a7a0901ca91",
+    9: "733eb9689c8b4a70c830619329afbfe57b980582dc42cbe2c0d3f0817f9771c8",
+}
+
+
+def test_report_digests_pinned(centerline_run, maintheorem_run):
+    for num, (reports, _, _) in ((8, centerline_run), (9, maintheorem_run)):
+        text = "".join(dump_json(r.to_dict()) for r in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[num], num

@@ -98,6 +98,39 @@ def test_depth_point_fixture(capsys, tmp_path):
     assert body["exact"] is True
 
 
+def test_depth_point_negative_coordinates(capsys, tmp_path):
+    cloud = write_triangle(tmp_path / "tri.json")
+    code, out, _ = run_cli(
+        ["depth", "--input", cloud, "--point", "-1/2,3/4"], capsys
+    )
+    assert code == 0
+    body = json.loads(out)
+    assert body["point"] == ["-1/2", "3/4"]
+    assert body["depth"] == "0/1"
+    _, spelled, _ = run_cli(["depth", "--input", cloud, "--point=-1/2,3/4"], capsys)
+    assert spelled == out
+
+
+def _assert_bad_input(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in err
+
+
+def test_depth_malformed_json_exit_2(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"dim": 2, "atoms": [')
+    _assert_bad_input(["depth", "--input", str(path)], capsys)
+
+
+def test_depth_atom_coordinates_not_a_list_exit_2(capsys, tmp_path):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps({"dim": 1, "atoms": [{"x": 5, "w": "1/1"}]}))
+    _assert_bad_input(["depth", "--input", str(path)], capsys)
+
+
 def test_depth_measure_and_region(capsys, tmp_path):
     cloud = write_triangle(tmp_path / "tri.json")
     code, out, _ = run_cli(["depth", "--input", cloud], capsys)

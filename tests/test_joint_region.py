@@ -1,0 +1,158 @@
+"""The joint region kernel and the shared level search against the oracle.
+
+The oracle builds one region per cloud and folds them together with
+polygon.intersect; the kernel clips one box against every cloud's
+halfplanes at once.  Canonical vertex form is unique, so the two must
+agree tuple for tuple.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import centertrans.centers as centers
+from centertrans import polygon
+from centertrans.centers import INSUFFICIENT, SUFFICIENT, center_point
+from centertrans.cloud import WeightedPointCloud
+from centertrans.depth import (
+    _deepest_common_region,
+    _direction_table,
+    _region_vertices,
+    depth_of_measure,
+    depth_region,
+)
+from centertrans.transversal import _common_level
+
+F = Fraction
+
+
+def cloud(points, weights=None):
+    if weights is None:
+        weights = [F(1, len(points))] * len(points)
+    return WeightedPointCloud(
+        len(points[0]), [(tuple(map(F, p)), w) for p, w in zip(points, weights)]
+    )
+
+
+def random_cloud(rng, n_atoms, scale=6):
+    pts = rng.integers(-scale, scale + 1, size=(n_atoms, 2))
+    raw = rng.integers(1, 5, size=n_atoms)
+    total = int(raw.sum())
+    return WeightedPointCloud(
+        2,
+        [(tuple(F(int(c), scale) for c in p), F(int(w), total)) for p, w in zip(pts, raw)],
+    )
+
+
+def folded(clouds, tau):
+    inter = None
+    for c in clouds:
+        verts = depth_region(c, tau).vertices
+        inter = verts if inter is None else polygon.intersect(inter, verts)
+    return inter
+
+
+def union_levels(clouds):
+    return sorted(
+        {F(lv, _direction_table(c).weight_den) for c in clouds for lv in _direction_table(c).levels}
+    )
+
+
+def brute_deepest(clouds):
+    best = (F(0), ())
+    for tau in union_levels(clouds):
+        inter = folded(clouds, tau)
+        if inter:
+            best = (tau, inter)
+    return best
+
+
+TRIANGLE = cloud([(0, 0), (1, 0), (0, 1)])
+# shares the edge (1, 0)-(0, 1) with TRIANGLE: a segment at level 1/3
+FLIPPED = cloud([(1, 0), (0, 1), (1, 1)])
+# shares only the corner (1, 0) with TRIANGLE: a point at level 1/3
+CORNER = cloud([(1, 0), (2, 0), (1, 1)])
+DIAGONAL = cloud([(0, 0), (1, 1), (2, 2)])
+ANTIDIAGONAL = cloud([(0, 2), (1, 1), (2, 0)])
+SINGLE = cloud([(F(1, 2), F(1, 2))])
+
+DEGENERATE = [
+    ([TRIANGLE, FLIPPED], F(1, 3), "segment"),
+    ([TRIANGLE, CORNER], F(1, 3), "point"),
+    ([DIAGONAL, ANTIDIAGONAL], F(1, 3), "point"),
+    ([DIAGONAL, ANTIDIAGONAL], F(2, 3), "point"),
+    ([TRIANGLE, SINGLE], F(1, 3), "point"),
+    ([DIAGONAL, DIAGONAL], F(1, 3), "segment"),
+    ([TRIANGLE, FLIPPED, CORNER], F(1, 3), "point"),
+    ([TRIANGLE, FLIPPED, DIAGONAL], F(1, 3), "point"),
+]
+
+
+@pytest.mark.parametrize("clouds, tau, kind", DEGENERATE)
+def test_degenerate_intersections_match_fold(clouds, tau, kind):
+    joint = _region_vertices(clouds, tau)
+    assert joint == folded(clouds, tau)
+    assert len(joint) == {"segment": 2, "point": 1}[kind]
+    assert _deepest_common_region(clouds) == brute_deepest(clouds)
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_seeded_intersections_match_fold(size):
+    rng = np.random.default_rng(20 + size)
+    kinds = set()
+    for _ in range(12):
+        clouds = [random_cloud(rng, int(rng.integers(3, 8))) for _ in range(size)]
+        for tau in union_levels(clouds):
+            joint = _region_vertices(clouds, tau)
+            assert joint == folded(clouds, tau), tau
+            raw = _region_vertices(clouds, tau, canonical=False)
+            assert polygon.normalize(raw) == joint
+            kinds.add(len(joint))
+        assert _deepest_common_region(clouds) == brute_deepest(clouds)
+    # empty, degenerate (point or segment) and full-rank intersections occur
+    assert 0 in kinds and kinds & {1, 2} and max(kinds) >= 3
+
+
+def test_single_cloud_region_is_the_depth_region():
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        c = random_cloud(rng, int(rng.integers(1, 9)))
+        level, verts = _deepest_common_region([c])
+        dv, point = depth_of_measure(c)
+        assert level == dv.value
+        assert verts == depth_region(c, level).vertices
+        assert point == polygon.centroid(verts)
+
+
+def test_disjoint_hulls_fall_back_to_the_first_mean():
+    near = cloud([(0, 0), (1, 0), (0, 1)], [F(1, 2), F(1, 4), F(1, 4)])
+    far = cloud([(10, 10), (11, 10), (10, 11)])
+    assert _deepest_common_region([near, far]) == (F(0), ())
+    assert _common_level([near, far]) == (F(0), (F(1, 4), F(1, 4)))
+
+
+def test_center_point_does_not_call_depth_of_measure(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("center_point called depth_of_measure")
+
+    rng = np.random.default_rng(9)
+    cases = [
+        (TRIANGLE, 2, INSUFFICIENT),
+        (cloud([(0, 0), (4, 0), (0, 4), (4, 4), (2, 2)]), 2, SUFFICIENT),
+        (cloud([(0,), (1,), (2,)]), 1, SUFFICIENT),
+        (cloud([(0,), (1,), (3,), (7,)]), 1, INSUFFICIENT),
+    ] + [(random_cloud(rng, 9), 2, None) for _ in range(4)]
+    expected = []
+    for c, n, _ in cases:
+        dv, _ = depth_of_measure(c)
+        expected.append(dv.value)
+    monkeypatch.setattr(centers, "depth_of_measure", forbidden)
+    for (c, n, label), dm in zip(cases, expected):
+        rep = center_point(c, n)
+        assert rep.depth_of_measure == dm
+        assert label is None or rep.classification == label
+        if n == 2:
+            level = min(dm, rep.threshold)
+            assert rep.region.tau == level
+            assert rep.region.vertices == depth_region(c, level).vertices
