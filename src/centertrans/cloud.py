@@ -111,12 +111,15 @@ class WeightedPointCloud:
 
     @classmethod
     def from_dict(cls, data):
+        dim = data["dim"]
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise DomainError("malformed cloud data: dim %r is not an integer" % (dim,))
         try:
-            dim = int(data["dim"])
-            atoms = [
-                (tuple(parse_frac(c) for c in atom["x"]), parse_frac(atom["w"]))
-                for atom in data["atoms"]
-            ]
+            atoms = []
+            for atom in data["atoms"]:
+                if not isinstance(atom["x"], list):
+                    raise TypeError("atom coordinates %r are not a list" % (atom["x"],))
+                atoms.append((tuple(map(parse_frac, atom["x"])), parse_frac(atom["w"])))
         except (TypeError, ValueError) as exc:
             raise DomainError("malformed cloud data: %s" % (exc,)) from exc
         return cls(dim, atoms)

@@ -16,6 +16,12 @@ the two bounding ones.  One clip against the halfplanes of several
 clouds gives the intersection of their regions, and one binary search
 over their finite level set finds the largest level at which it is
 nonempty: for one cloud, the depth of the measure.
+
+The clip runs in homogeneous integer coordinates: every halfplane is
+rescaled to the common coordinate scale of the clouds, each vertex is
+the meet of two input lines, and vertices become Fractions only in the
+output.  ``polygon.clip_many`` is the Fraction reference it is tested
+against.
 """
 
 import math
@@ -386,9 +392,14 @@ class _DirectionTable:
     def __init__(self, cloud):
         if cloud.dim != 2:
             raise DomainError("direction table requires a planar cloud")
-        self.cloud = cloud
+        # no reference back to the cloud, which holds the table: without a
+        # cycle, a dropped cloud frees its table at once, not at the next
+        # collection of the cyclic garbage collector
         self.coord_scale, ipts = cloud.int_points
         self.weight_den, ws = cloud.int_weights
+        xs = [p[0] for p in ipts]
+        ys = [p[1] for p in ipts]
+        self.bounds = (min(xs), min(ys), max(xs), max(ys))
         dirs = set()
         for (a, b) in combinations(sorted(set(ipts)), 2):
             d = (a[0] - b[0], a[1] - b[1])
@@ -432,26 +443,26 @@ class _DirectionTable:
                 lo = mid + 1
         return self.proj_vals[idx][lo]
 
-    def halfplanes(self, tau):
-        tau = _as_fraction(tau)
+    def halfplanes(self, tau, scale):
+        """Integer (vx, vy, c) with vx*x + vy*y <= c / scale, or None.
+
+        None means tau exceeds the total mass (an empty region); scale
+        must be a multiple of coord_scale.
+        """
+        m = scale // self.coord_scale
         out = []
-        for i, v in enumerate(self.directions):
+        for i, (vx, vy) in enumerate(self.directions):
             s = self.threshold(i, tau.numerator, tau.denominator)
             if s is None:
-                return None  # level above the total mass: empty region
-            out.append((v[0], v[1], Fraction(s, self.coord_scale)))
+                return None
+            out.append((vx, vy, s * m))
         return out
 
-    def start_box(self):
-        c = self.coord_scale
-        _, ipts = self.cloud.int_points
-        xs = [p[0] for p in ipts]
-        ys = [p[1] for p in ipts]
-        lo_x = Fraction(min(xs), c) - 1
-        hi_x = Fraction(max(xs), c) + 1
-        lo_y = Fraction(min(ys), c) - 1
-        hi_y = Fraction(max(ys), c) + 1
-        return ((lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y))
+    def start_box(self, scale):
+        """(lo_x, lo_y, hi_x, hi_y) over scale: the atoms' box grown by 1."""
+        m = scale // self.coord_scale
+        lo_x, lo_y, hi_x, hi_y = self.bounds
+        return (lo_x * m - scale, lo_y * m - scale, hi_x * m + scale, hi_y * m + scale)
 
 
 def _direction_table(cloud):
@@ -460,20 +471,72 @@ def _direction_table(cloud):
     return cloud._direction_table
 
 
+def _clip_homogeneous(loop, planes):
+    """Sutherland-Hodgman clip of a convex loop in homogeneous integers.
+
+    A vertex is (X, Y, W, a, b, c): the point (X/W, Y/W) with W > 0 and
+    the line a*x + b*y = c through it and the next vertex.  Every vertex
+    is the meet of two input lines, so coefficients never grow.
+    """
+    for a, b, c in planes:
+        sides = [a * x + b * y - c * w for x, y, w, _, _, _ in loop]
+        if max(sides) <= 0:
+            continue
+        if min(sides) > 0:
+            return ()
+        out = []
+        n = len(loop)
+        for i, (p, sp) in enumerate(zip(loop, sides)):
+            sq = sides[i + 1 - n]
+            if sp < 0:
+                out.append(p)
+                if sq > 0:
+                    out.append(_meet(p, a, b, c) + (a, b, c))
+            elif sp == 0:
+                # the next kept vertex lies on the clipping line
+                out.append(p if sq <= 0 else p[:3] + (a, b, c))
+            elif sq < 0:
+                out.append(_meet(p, a, b, c) + p[3:])
+        loop = out
+    return loop
+
+
+def _meet(p, a, b, c):
+    """Homogeneous meet (W > 0) of p's edge line with a*x + b*y = c."""
+    e, f, g = p[3:]
+    x, y, w = g * b - f * c, e * c - g * a, e * b - f * a
+    return (x, y, w) if w > 0 else (-x, -y, -w)
+
+
 def _region_vertices(clouds, tau, canonical=True):
     """Intersection of the clouds' superlevel regions at tau, by one clip.
 
     The axis halfplanes keep every region inside its atoms' bounding box,
-    so the first cloud's start box contains the intersection.
+    so the first cloud's start box contains the intersection.  All lines
+    are rescaled to the common scale of the clouds' coordinates and
+    clipped in exact integers; vertices become Fractions only here.
     """
+    tau = _as_fraction(tau)
     tables = [_direction_table(c) for c in clouds]
+    scale = math.lcm(*(t.coord_scale for t in tables))
     planes = []
     for table in tables:
-        hp = table.halfplanes(tau)
+        hp = table.halfplanes(tau, scale)
         if hp is None:
             return ()
         planes.extend(hp)
-    return polygon.clip_many(tables[0].start_box(), planes, canonical=canonical)
+    lo_x, lo_y, hi_x, hi_y = tables[0].start_box(scale)
+    box = (
+        (lo_x, lo_y, 1, 0, -1, -lo_y),
+        (hi_x, lo_y, 1, 1, 0, hi_x),
+        (hi_x, hi_y, 1, 0, 1, hi_y),
+        (lo_x, hi_y, 1, -1, 0, -lo_x),
+    )
+    loop = [
+        (Fraction(x, w * scale), Fraction(y, w * scale))
+        for x, y, w, _, _, _ in _clip_homogeneous(box, planes)
+    ]
+    return polygon.normalize(loop) if canonical else tuple(loop)
 
 
 def depth_region(cloud, tau):

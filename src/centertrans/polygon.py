@@ -5,6 +5,10 @@ Polygons are vertex tuples in canonical form: [] empty, [p] a point,
 strictly convex counterclockwise loop starting at the lexicographically
 smallest vertex.  Halfplanes are (vx, vy, c) meaning vx*x + vy*y <= c.
 Everything here is exact; emptiness tests downstream rely on it.
+
+Depth regions are clipped by the homogeneous integer kernel in
+``depth``; ``clip``, ``clip_many`` and ``intersect`` are the Fraction
+references the tests compare it to.
 """
 
 from fractions import Fraction

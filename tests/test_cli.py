@@ -131,6 +131,22 @@ def test_depth_atom_coordinates_not_a_list_exit_2(capsys, tmp_path):
     _assert_bad_input(["depth", "--input", str(path)], capsys)
 
 
+def test_depth_atom_coordinates_as_a_string_exit_2(capsys, tmp_path):
+    # a string is iterable and would load as the point (1, 2)
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps({"dim": 2, "atoms": [{"x": "12", "w": "1"}]}))
+    _assert_bad_input(["depth", "--input", str(path)], capsys)
+
+
+@pytest.mark.parametrize("dim", [1.7, 1.0, "1", True])
+def test_depth_dim_not_an_integer_exit_2(capsys, tmp_path, dim):
+    # each of these used to be read as dim 1
+    path = tmp_path / "dim.json"
+    atoms = [{"x": ["0"], "w": "1/2"}, {"x": ["1"], "w": "1/2"}]
+    path.write_text(json.dumps({"dim": dim, "atoms": atoms}))
+    _assert_bad_input(["depth", "--input", str(path)], capsys)
+
+
 def test_depth_measure_and_region(capsys, tmp_path):
     cloud = write_triangle(tmp_path / "tri.json")
     code, out, _ = run_cli(["depth", "--input", cloud], capsys)

@@ -1,26 +1,31 @@
-"""The joint region kernel and the shared level search against the oracle.
+"""The joint region kernel and the shared level search against the oracles.
 
-The oracle builds one region per cloud and folds them together with
-polygon.intersect; the kernel clips one box against every cloud's
-halfplanes at once.  Canonical vertex form is unique, so the two must
-agree tuple for tuple.
+The kernel clips one box against every cloud's halfplanes at once, in
+homogeneous integers.  One oracle clips the same halfplanes as Fractions
+with polygon.clip_many; the other builds one region per cloud and folds
+them together with polygon.intersect.  Canonical vertex form is unique,
+so all of them must agree tuple for tuple.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import centertrans.centers as centers
 from centertrans import polygon
 from centertrans.centers import INSUFFICIENT, SUFFICIENT, center_point
-from centertrans.cloud import WeightedPointCloud
+from centertrans.cloud import OrthoFrame, WeightedPointCloud
 from centertrans.depth import (
     _deepest_common_region,
     _direction_table,
     _region_vertices,
     depth_of_measure,
     depth_region,
+    marginal,
 )
 from centertrans.transversal import _common_level
 
@@ -43,6 +48,44 @@ def random_cloud(rng, n_atoms, scale=6):
         2,
         [(tuple(F(int(c), scale) for c in p), F(int(w), total)) for p, w in zip(pts, raw)],
     )
+
+
+def quantized_marginal(rng, n_atoms):
+    """Planar marginal of a random 7-D cloud under a random frame.
+
+    The frame is quantized to 12 digits, so coordinates carry large
+    denominators.
+    """
+    pts = rng.integers(-5, 6, size=(n_atoms, 7))
+    raw = rng.integers(1, 4, size=n_atoms)
+    total = int(raw.sum())
+    c = WeightedPointCloud(
+        7, [(tuple(F(int(x)) for x in p), F(int(w), total)) for p, w in zip(pts, raw)]
+    )
+    q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
+    return marginal(c, OrthoFrame(q.T.tolist()))
+
+
+def clipped_by_oracle(clouds, tau):
+    """The kernel's halfplanes and start box as Fractions, clipped one by one."""
+    tables = [_direction_table(c) for c in clouds]
+    scale = math.lcm(*(t.coord_scale for t in tables))
+    planes = []
+    for t in tables:
+        hp = t.halfplanes(tau, scale)
+        if hp is None:
+            return ()
+        planes.extend((vx, vy, F(c, scale)) for vx, vy, c in hp)
+    lo_x, lo_y, hi_x, hi_y = (F(v, scale) for v in tables[0].start_box(scale))
+    box = ((lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y))
+    return polygon.clip_many(box, planes)
+
+
+def assert_kernel_matches_oracle(clouds, tau):
+    joint = _region_vertices(clouds, tau)
+    assert joint == clipped_by_oracle(clouds, tau), tau
+    assert polygon.normalize(_region_vertices(clouds, tau, canonical=False)) == joint
+    return joint
 
 
 def folded(clouds, tau):
@@ -156,3 +199,46 @@ def test_center_point_does_not_call_depth_of_measure(monkeypatch):
             level = min(dm, rep.threshold)
             assert rep.region.tau == level
             assert rep.region.vertices == depth_region(c, level).vertices
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_integer_kernel_matches_fraction_clip(size):
+    rng = np.random.default_rng(40 + size)
+    kinds = set()
+    for _ in range(20):
+        marginals = int(rng.integers(0, size + 1)) if rng.random() < 0.6 else 0
+        clouds = [quantized_marginal(rng, int(rng.integers(3, 7))) for _ in range(marginals)]
+        clouds += [
+            random_cloud(rng, int(rng.integers(1, 8)), scale=int(rng.choice([2, 3, 4, 6])))
+            for _ in range(size - marginals)
+        ]
+        for tau in union_levels(clouds):
+            kind = min(len(assert_kernel_matches_oracle(clouds, tau)), 3)
+            kinds.add((marginals > 0, kind))
+    # empty, point, segment and polygon results all occur, and marginals
+    # (large denominators, mixed with small ones) meet in full-rank regions
+    assert {kind for _, kind in kinds} == {0, 1, 2, 3}
+    assert (True, 3) in kinds
+
+
+def small_clouds():
+    atom = st.tuples(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)), st.integers(1, 3)
+    )
+
+    def build(den, atoms):
+        total = sum(w for _, w in atoms)
+        return WeightedPointCloud(
+            2, [((F(x, den), F(y, den)), F(w, total)) for (x, y), w in atoms]
+        )
+
+    one = st.builds(build, st.integers(1, 6), st.lists(atom, min_size=1, max_size=5))
+    return st.lists(one, min_size=1, max_size=3)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(clouds=small_clouds(), data=st.data())
+def test_integer_kernel_matches_fraction_clip_property(clouds, data):
+    levels = union_levels(clouds)
+    tau = data.draw(st.sampled_from(levels + [F(1, 7), F(1)]))
+    assert_kernel_matches_oracle(clouds, tau)
