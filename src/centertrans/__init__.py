@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .centers import CenterReport, center_point, classify
 from .cloud import OrthoFrame, WeightedPointCloud, apply_affine
 from .depth import (
@@ -27,23 +29,34 @@ from .schubert import (
     special_class,
     wn_power,
 )
-from .simplex import (
-    RegularSimplexPlacement,
-    VertexTuple,
-    delta_of_vertices,
-    jacobi_eigh,
-    normalize_volume,
-    polar_decompose,
-    positive_dependence,
-    reference_simplex,
-    simplex_map,
-    witness_vertices,
-)
-from .transversal import (
-    SearchConfig,
-    TransversalReport,
-    objective,
-    random_frame,
-    search,
-    verify,
-)
+# simplex and transversal compute in floats and import numpy; the exact
+# modules above do not.  Their names resolve on first access (PEP 562), so
+# an exact computation never pays for importing numpy.
+_LAZY = {
+    "RegularSimplexPlacement": "simplex",
+    "VertexTuple": "simplex",
+    "delta_of_vertices": "simplex",
+    "jacobi_eigh": "simplex",
+    "normalize_volume": "simplex",
+    "polar_decompose": "simplex",
+    "positive_dependence": "simplex",
+    "reference_simplex": "simplex",
+    "simplex_map": "simplex",
+    "witness_vertices": "simplex",
+    "SearchConfig": "transversal",
+    "TransversalReport": "transversal",
+    "objective": "transversal",
+    "random_frame": "transversal",
+    "search": "transversal",
+    "verify": "transversal",
+}
+
+
+def __getattr__(name):
+    if name in _LAZY.values():
+        return importlib.import_module("." + name, __name__)
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(importlib.import_module("." + _LAZY[name], __name__), name)
+    globals()[name] = value
+    return value

@@ -24,9 +24,7 @@ from .depth import (
 )
 from .errors import DomainError
 from .generators import FAMILIES, generate_cloud
-from .serialize import dump_json, frac_str, load_json, parse_frac
-from .simplex import VertexTuple, delta_of_vertices, witness_vertices
-from .transversal import SearchConfig, search, verify
+from .serialize import dump_json, float_rows, frac_str, load_json, parse_frac
 
 CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
 
@@ -136,7 +134,11 @@ def cmd_schubert(args):
     if args.exponents is None or args.codim is None:
         raise DomainError("need --exponents and --codim (or a named --check)")
     ctx = schubert.GrassmannContext(args.n, args.codim)
-    exponents = [int(e) for e in args.exponents.split(",")]
+    try:
+        exponents = [int(e) for e in args.exponents.split(",")]
+    except ValueError:
+        raise DomainError("--exponents must be comma-separated integers, got %r"
+                          % (args.exponents,)) from None
     cls = schubert.monomial(ctx, exponents)
     report = {
         "manifest": _manifest(args, "schubert"),
@@ -214,11 +216,12 @@ def cmd_center(args):
 
 
 def cmd_simplex(args):
+    from .simplex import VertexTuple, delta_of_vertices, witness_vertices
+
     report = {"manifest": _manifest(args, "simplex",
                                     inputs=[p for p in (args.input, args.vertices) if p])}
     if args.vertices:
-        data = load_json(args.vertices)
-        tup = VertexTuple.of(data["vertices"])
+        tup = VertexTuple.of(float_rows(load_json(args.vertices)["vertices"], "vertices"))
         report["vertex_source"] = "file"
     else:
         cloud = _load_cloud(args.input)
@@ -232,6 +235,8 @@ def cmd_simplex(args):
 
 
 def cmd_transversal(args):
+    from .transversal import SearchConfig, search, verify
+
     clouds = [_load_cloud(p) for p in args.input]
     target = parse_frac(args.target) if args.target else None
     if args.frame:

@@ -11,10 +11,8 @@ feed exact arithmetic.
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DomainError
-from .serialize import frac_str, parse_frac
+from .serialize import float_rows, frac_str, parse_frac
 
 FRAME_QUANTIZE_DIGITS = 12
 
@@ -185,6 +183,8 @@ class OrthoFrame:
     """n orthonormal rows spanning an n-dimensional subspace of R^N."""
 
     def __init__(self, rows, tolerance=1e-9):
+        import numpy as np
+
         rows = tuple(tuple(r) for r in rows)
         if not rows:
             raise DomainError("frame needs at least one row")
@@ -217,6 +217,8 @@ class OrthoFrame:
         return tuple(tuple(quantize_entry(x, digits) for x in r) for r in self.rows)
 
     def as_array(self):
+        import numpy as np
+
         return np.array([[float(x) for x in r] for r in self.rows], dtype=float)
 
     def projector(self):
@@ -233,4 +235,10 @@ class OrthoFrame:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(data["rows"], tolerance=data.get("tolerance", 1e-9))
+        rows = float_rows(data["rows"], "frame rows")
+        tolerance = data.get("tolerance", 1e-9)
+        try:
+            tolerance = float(tolerance)
+        except (TypeError, ValueError):
+            raise DomainError("frame tolerance %r is not a number" % (tolerance,)) from None
+        return cls(rows, tolerance=tolerance)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 
-import numpy as np
-
 from . import polygon
 from .cloud import WeightedPointCloud, _as_fraction
 from .errors import DomainError, InternalConsistencyError
@@ -324,6 +322,8 @@ def _nullspace_direction(rows, dim):
 
 def _depth_upper_bound(cloud, x, samples=512, subset_cap=2000, seed=0):
     """Certified upper bound for dim > 3: min mass over candidate normals."""
+    import numpy as np
+
     at_x, offsets, d_den = _int_offsets(cloud, x)
     if not offsets:
         return DepthValue(Fraction(1), None, exact=False)
@@ -622,6 +622,8 @@ def depth_of_measure(cloud, allow_approximate=False, seed=0):
 
 
 def _ascent_depth(cloud, seed, steps=200):
+    import numpy as np
+
     dim = cloud.dim
     pts = cloud.points()
     ws = cloud.weights()

@@ -9,8 +9,6 @@ byte.
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from .cloud import WeightedPointCloud
 from .errors import DomainError
 
@@ -87,6 +85,10 @@ def generate_cloud(
     """One deterministic instance of the named family."""
     if family not in FAMILIES:
         raise DomainError("unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES)))
+    if atoms < 1 or denominator < 1:
+        raise DomainError("atoms (%r) and denominator (%r) must be >= 1" % (atoms, denominator))
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if family == "simplex-atoms":
         n = dim
@@ -144,6 +146,8 @@ def generate_cloud(
 
 def centerline_suite(count=20, master_seed=20250809):
     """Seeded clouds in R^3 (<= 20 atoms) for the m=1, n=2 verification."""
+    import numpy as np
+
     seeds = np.random.SeedSequence(master_seed).spawn(count)
     clouds = []
     for i, seq in enumerate(seeds):
@@ -165,6 +169,8 @@ def centerline_suite(count=20, master_seed=20250809):
 
 def maintheorem_suite(count=10, master_seed=20250810):
     """Seeded two-cloud instances in R^7 (<= 12 atoms) for m=2, n=2."""
+    import numpy as np
+
     seeds = np.random.SeedSequence(master_seed).spawn(count)
     instances = []
     for seq in seeds:

@@ -47,6 +47,16 @@ def float_list(vec, digits=15):
     return [float(("%." + str(digits) + "g") % float(x)) for x in vec]
 
 
+def float_rows(value, what):
+    """Real-valued rows read from a file (frame rows, simplex vertices)."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise DomainError("%s must be a list of lists of numbers" % what)
+    try:
+        return [[float(x) for x in row] for row in value]
+    except (TypeError, ValueError) as exc:
+        raise DomainError("%s must be a list of lists of numbers: %s" % (what, exc)) from exc
+
+
 def dump_json(obj, path=None):
     """Serialize deterministically; return the text, optionally writing it."""
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -195,6 +195,8 @@ def verify(frame, clouds, n, target=None, restart_index=None, config=None,
            trajectory=()):
     """Exact re-evaluation of a frame: depths, c-points, consensus spread."""
     _check_clouds(frame, clouds)
+    if frame.n != n:
+        raise DomainError("frame has %d rows, expected n = %d" % (frame.n, n))
     if target is None:
         target = thresholds(n)[1]
     target = _as_fraction(target)
@@ -291,6 +293,8 @@ def search(clouds, n, config=None):
     target = config.target if config.target is not None else thresholds(n)[1]
     target = _as_fraction(target)
     ambient = clouds[0].dim
+    if not 1 <= n <= ambient:
+        raise DomainError("need 1 <= n <= ambient dimension %d, got n = %d" % (ambient, n))
     needed = min_dimension(len(clouds), n) if n >= 2 else None
     if needed is not None and ambient < needed:
         warnings.warn(

@@ -29,6 +29,12 @@ def write_triangle(path):
     return str(path)
 
 
+def write_tetrahedron(path):
+    corners = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    path.write_text(json.dumps({"dim": 3, "atoms": [{"x": x, "w": "1/4"} for x in corners]}))
+    return str(path)
+
+
 def test_bounds_examples(capsys):
     code, out, _ = run_cli(["bounds", "--m", "1", "--n", "2"], capsys)
     assert code == 0
@@ -85,6 +91,10 @@ def test_schubert_checks_pass(capsys):
 def test_schubert_bad_input_exit_2(capsys):
     code, _, err = run_cli(["schubert", "--n", "2"], capsys)
     assert code == 2 and "error" in err
+
+
+def test_schubert_exponents_not_integers_exit_2(capsys):
+    _assert_bad_input(["schubert", "--n", "2", "--codim", "5", "--exponents", "a,b"], capsys)
 
 
 def test_depth_point_fixture(capsys, tmp_path):
@@ -192,6 +202,13 @@ def test_simplex_from_vertices(capsys, tmp_path):
             assert abs(d - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("vertices", [[[1, 0], ["x", 1], [-1, -1]], 5])
+def test_simplex_malformed_vertices_exit_2(capsys, tmp_path, vertices):
+    vfile = tmp_path / "verts.json"
+    vfile.write_text(json.dumps({"vertices": vertices}))
+    _assert_bad_input(["simplex", "--vertices", str(vfile)], capsys)
+
+
 def test_simplex_surrogate_from_cloud(capsys, tmp_path):
     code, out, _ = run_cli(
         [
@@ -244,6 +261,11 @@ def test_gen_unknown_family_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("option", ["--atoms", "--denominator"])
+def test_gen_zero_count_exit_2(capsys, option):
+    _assert_bad_input(["gen", "--family", "gaussian-quantized", option, "0"], capsys)
+
+
 def test_transversal_cli_success_and_rerun_identical(capsys, tmp_path):
     cloud = tmp_path / "c.json"
     code, _, _ = run_cli(
@@ -282,6 +304,76 @@ def test_transversal_cli_failed_target_exit_1(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["success"] is False
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [{"rows": [["a"]]}, {"rows": [[1, 0], [0, 1]], "tolerance": "x"}, {"rows": 5}],
+    ids=["entry", "tolerance", "rows"],
+)
+def test_transversal_malformed_frame_exit_2(capsys, tmp_path, frame):
+    cloud = write_triangle(tmp_path / "tri.json")
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(frame))
+    _assert_bad_input(["transversal", "--input", cloud, "--frame", str(path)], capsys)
+
+
+def test_transversal_n_must_fit_the_input(capsys, tmp_path):
+    tri = write_triangle(tmp_path / "tri.json")
+    tet = write_tetrahedron(tmp_path / "tet.json")
+    _assert_bad_input(["transversal", "--input", tet, "--n", "4", "--restarts", "1"], capsys)
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"rows": [[1, 0], [0, 1]]}))
+    _assert_bad_input(["transversal", "--input", tri, "--frame", str(frame), "--n", "3"], capsys)
+
+
+# runs the CLI in a fresh interpreter and names the float modules it loaded
+_LOADED_AFTER_MAIN = """
+import contextlib, io, json, sys
+from centertrans.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = [m for m in ("numpy", "centertrans.simplex", "centertrans.transversal")
+          if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_exact_subcommands_do_not_import_numpy(tmp_path):
+    tri = write_triangle(tmp_path / "tri.json")
+    tet = write_tetrahedron(tmp_path / "tet.json")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"dim": 2, "atoms": [')
+    commands = [
+        ["bounds", "--m", "2", "--n", "2"],
+        ["schubert", "--n", "2", "--m", "2", "--check", "main-obstruction"],
+        ["schubert", "--n", "3", "--codim", "4", "--check", "whitney"],
+        ["depth", "--input", tri, "--point", "1/3,1/3"],
+        ["depth", "--input", tet, "--point", "1/4,1/4,1/4"],
+        ["depth", "--input", tri, "--region", "1/3"],
+        ["depth", "--input", tri],
+        ["center", "--input", tri],
+        ["depth", "--input", str(broken)],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER_MAIN, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0] * 8 + [2], "loaded": []}
+
+
+def test_lazy_reexports_are_the_module_objects():
+    import centertrans
+    from centertrans import search, simplex, transversal
+
+    assert search is transversal.search
+    for name, module in centertrans._LAZY.items():
+        assert getattr(centertrans, name) is getattr(getattr(centertrans, module), name)
+    assert centertrans.VertexTuple is simplex.VertexTuple
+    with pytest.raises(AttributeError):
+        centertrans.no_such_name
 
 
 def test_cli_entrypoint_subprocess():
