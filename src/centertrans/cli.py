@@ -29,7 +29,7 @@ from .serialize import dump_json, float_rows, frac_str, load_json, parse_frac
 CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
 
 
-def _manifest(args, subcommand, inputs=(), seed=None, config=None):
+def _manifest(subcommand, inputs=(), seed=None, config=None):
     return {
         "subcommand": subcommand,
         "inputs": list(inputs),
@@ -70,7 +70,7 @@ def cmd_bounds(args):
     n_min = schubert.min_dimension(args.m, args.n)
     rado, improved = thresholds(args.n)
     report = {
-        "manifest": _manifest(args, "bounds"),
+        "manifest": _manifest("bounds"),
         "m": args.m,
         "n": args.n,
         "N_min": n_min,
@@ -128,7 +128,7 @@ def cmd_schubert(args):
         if args.check in ("heights", "whitney") and args.codim is None:
             raise DomainError("--codim is required for the %s check" % args.check)
         result, ok = _run_named_check(args)
-        report = {"manifest": _manifest(args, "schubert"), "result": result}
+        report = {"manifest": _manifest("schubert"), "result": result}
         _emit(report, args)
         return 0 if ok else 1
     if args.exponents is None or args.codim is None:
@@ -141,7 +141,7 @@ def cmd_schubert(args):
                           % (args.exponents,)) from None
     cls = schubert.monomial(ctx, exponents)
     report = {
-        "manifest": _manifest(args, "schubert"),
+        "manifest": _manifest("schubert"),
         "context": {"n": ctx.n, "codim": ctx.codim},
         "exponents": exponents,
         "support": [list(a) for a in cls.sorted_support()],
@@ -159,7 +159,7 @@ def cmd_schubert(args):
 
 def cmd_depth(args):
     cloud = _load_cloud(args.input)
-    report = {"manifest": _manifest(args, "depth", inputs=[args.input]),
+    report = {"manifest": _manifest("depth", inputs=[args.input]),
               "dim": cloud.dim, "atoms": len(cloud.atoms)}
     if args.point is not None:
         x = _parse_point(args.point)
@@ -209,7 +209,7 @@ def _direction_profile(cloud, x, count=360):
 def cmd_center(args):
     cloud = _load_cloud(args.input)
     rep = center_point(cloud, cloud.dim)
-    report = {"manifest": _manifest(args, "center", inputs=[args.input])}
+    report = {"manifest": _manifest("center", inputs=[args.input])}
     report.update(rep.to_dict())
     _emit(report, args)
     return 0
@@ -218,7 +218,7 @@ def cmd_center(args):
 def cmd_simplex(args):
     from .simplex import VertexTuple, delta_of_vertices, witness_vertices
 
-    report = {"manifest": _manifest(args, "simplex",
+    report = {"manifest": _manifest("simplex",
                                     inputs=[p for p in (args.input, args.vertices) if p])}
     if args.vertices:
         tup = VertexTuple.of(float_rows(load_json(args.vertices)["vertices"], "vertices"))
@@ -255,7 +255,7 @@ def cmd_transversal(args):
         rep = search(clouds, args.n, config)
         config_echo = config.to_dict()
     report = {
-        "manifest": _manifest(args, "transversal", inputs=list(args.input),
+        "manifest": _manifest("transversal", inputs=list(args.input),
                               seed=args.seed, config=config_echo),
     }
     report.update(rep.to_dict())
@@ -285,7 +285,7 @@ def cmd_gen(args):
         with open(args.out, "w") as fh:
             fh.write(cloud.to_tsv())
     else:
-        body = {"manifest": _manifest(args, "gen", seed=args.seed,
+        body = {"manifest": _manifest("gen", seed=args.seed,
                                       config={"family": args.family}),
                 **cloud.to_dict()}
         text = dump_json(body)

@@ -130,7 +130,7 @@ class WeightedPointCloud:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_tsv(cls, text, max_denominator=None, normalize=False):
+    def from_tsv(cls, text):
         """Parse the tabular format; decimal entries convert exactly."""
         rows = [line.split("\t") for line in text.strip().splitlines()]
         if len(rows) < 2:
@@ -143,13 +143,7 @@ class WeightedPointCloud:
         for row in rows[1:]:
             if len(row) != dim + 1:
                 raise DomainError("tabular row %r has wrong arity" % (row,))
-            point = tuple(parse_frac(c, max_denominator) for c in row[:dim])
-            atoms.append((point, parse_frac(row[dim], max_denominator)))
-        if normalize:
-            total = sum(w for _, w in atoms)
-            if total <= 0:
-                raise DomainError("cannot normalize nonpositive total weight")
-            atoms = [(p, w / total) for p, w in atoms]
+            atoms.append((tuple(map(parse_frac, row[:dim])), parse_frac(row[dim])))
         return cls(dim, atoms)
 
 

@@ -618,34 +618,48 @@ def depth_of_measure(cloud, allow_approximate=False, seed=0):
         raise DomainError(
             "exact depth of a measure is only available in dimensions 1 and 2"
         )
-    return _ascent_depth(cloud, seed)
+    pts = cloud.points()
+    spread = max(
+        float(max(p[i] for p in pts) - min(p[i] for p in pts)) for i in range(cloud.dim)
+    )
+    point, depth = _ascent(
+        [cloud], _mean(cloud), spread / 2 if spread else 1.0, 200, 0.9, 10 ** 9, seed
+    )
+    return DepthValue(depth.value, depth.witness_direction, exact=False), point
 
 
-def _ascent_depth(cloud, seed, steps=200):
+def _mean(cloud):
+    return tuple(sum(p[i] * w for p, w in cloud.atoms) for i in range(cloud.dim))
+
+
+def _ascent(clouds, start, radius, steps, shrink, max_denominator, seed):
+    """Seeded random ascent of the least depth over the clouds.
+
+    Each step tries a Gaussian move of the current radius, snapped to
+    rationals with denominators up to max_denominator, and keeps it only
+    if the least exact depth strictly rises; a rejected move shrinks the
+    radius by shrink.  Returns (point, the minimising DepthValue there).
+    """
     import numpy as np
 
-    dim = cloud.dim
-    pts = cloud.points()
-    ws = cloud.weights()
-    x = [sum(p[i] * w for p, w in zip(pts, ws)) for i in range(dim)]
-    cur = tukey_depth(cloud, x)
-    spread = max(
-        float(max(p[i] for p in pts) - min(p[i] for p in pts)) for i in range(dim)
-    )
-    radius = spread / 2 if spread else 1.0
+    def least(x):
+        return min((tukey_depth(c, x) for c in clouds), key=lambda d: d.value)
+
+    x = list(start)
+    cur = least(x)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        delta = rng.standard_normal(dim)
+        delta = rng.standard_normal(len(x))
         cand = [
-            xi + Fraction(float(d * radius)).limit_denominator(10 ** 9)
+            xi + Fraction(float(d * radius)).limit_denominator(max_denominator)
             for xi, d in zip(x, delta)
         ]
-        val = tukey_depth(cloud, cand)
+        val = least(cand)
         if val.value > cur.value:
             x, cur = cand, val
         else:
-            radius *= 0.9
-    return DepthValue(cur.value, cur.witness_direction, exact=False), tuple(x)
+            radius *= shrink
+    return tuple(x), cur
 
 
 def depth_of_measure_by_candidates(cloud):

@@ -34,10 +34,6 @@ class GrassmannContext:
     def ambient(self):
         return self.n + self.codim
 
-    @property
-    def top_degree(self):
-        return self.n * self.codim
-
     def valid_cocycle(self, a):
         return (
             len(a) == self.n

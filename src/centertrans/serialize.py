@@ -18,28 +18,22 @@ def frac_str(x):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def parse_frac(s, max_denominator=None):
+def parse_frac(s):
     """Parse "p/q", integer, or decimal text into an exact Fraction.
 
-    Decimal strings convert exactly ("0.25" -> 1/4).  If max_denominator
-    is given the result is snapped to the closest rational with a
-    denominator within that bound.
+    Decimal strings convert exactly ("0.25" -> 1/4).
     """
     if isinstance(s, Fraction):
-        f = s
-    elif isinstance(s, int):
-        f = Fraction(s)
-    else:
-        text = str(s).strip()
-        if not text:
-            raise DomainError("empty rational literal")
-        try:
-            f = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DomainError("bad rational literal %r" % (s,)) from exc
-    if max_denominator is not None:
-        f = f.limit_denominator(max_denominator)
-    return f
+        return s
+    if isinstance(s, int):
+        return Fraction(s)
+    text = str(s).strip()
+    if not text:
+        raise DomainError("empty rational literal")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError("bad rational literal %r" % (s,)) from exc
 
 
 def float_list(vec, digits=15):
@@ -67,8 +61,12 @@ def dump_json(obj, path=None):
 
 
 def load_json(path):
+    """The JSON object stored at path; every input file holds one."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DomainError("%s is not valid JSON: %s" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise DomainError("%s must hold a JSON object, not %s" % (path, type(data).__name__))
+    return data

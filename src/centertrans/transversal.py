@@ -8,15 +8,15 @@ search with exact emptiness certificates.  The outer problem (which
 subspace) is random-restart hill climbing with plane-rotation moves; a
 move is accepted only when the exact objective strictly increases.
 
-Determinism contract: every restart draws its randomness from a child of
-the master seed, and the merged result is the first restart index that
-reaches the target (else the best (objective, -index)).  That rule does
-not depend on scheduling, so reports are identical for any worker count
-(CENTERTRANS_THREADS).
+Restarts run one after another.  Each draws its randomness from its own
+child of the master seed, the search stops at the first restart that
+reaches the target, and otherwise reports the best objective with the
+lowest index, so identical seeds and inputs give identical reports.
+For n >= 3 the witness comes from the seeded ascent of ``depth`` and the
+report is flagged approximate.
 """
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,12 +26,12 @@ import numpy as np
 from . import polygon
 from .centers import center_point
 from .cloud import OrthoFrame, _as_fraction
-from .depth import _deepest_common_region, marginal, thresholds, tukey_depth
+from .depth import (
+    _ascent, _deepest_common_region, _mean, marginal, thresholds, tukey_depth,
+)
 from .errors import DomainError
 from .schubert import min_dimension
 from .serialize import frac_str
-
-ENV_THREADS = "CENTERTRANS_THREADS"
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class TransversalReport:
     exact: bool = True
     restart_index: int = None
     config: SearchConfig = None
-    # (index, objective as float, success) for restarts up to the selected
-    # one; trimming there keeps the report scheduling-invariant
+    # (index, objective as float, success) of every restart run
     trajectory: tuple = ()
 
     def to_dict(self):
@@ -125,11 +124,7 @@ def _common_level(marginals):
     """
     level, region = _deepest_common_region(marginals)
     if not region:
-        first = marginals[0]
-        mean = tuple(
-            sum(p[i] * w for p, w in first.atoms) for i in range(first.dim)
-        )
-        return Fraction(0), mean
+        return Fraction(0), _mean(marginals[0])
     return level, polygon.centroid(region)
 
 
@@ -139,34 +134,12 @@ def _objective_parts(frame, clouds, n):
         _, witness = _common_level(marginals)
         exact = True
     else:
-        witness, exact = _approx_witness(marginals), False
+        means = [_mean(m) for m in marginals]
+        start = [sum(c) / len(means) for c in zip(*means)]
+        witness, _ = _ascent(marginals, start, 1.0, 60, 0.85, 10 ** 6, 0)
+        exact = False
     per = tuple(tukey_depth(m, witness).value for m in marginals)
     return min(per), witness, per, marginals, exact
-
-
-def _approx_witness(marginals, steps=60, seed=0):
-    """Heuristic common point for n >= 3 marginals (flagged approximate)."""
-    dim = marginals[0].dim
-    mean = [
-        sum(sum(p[i] * w for p, w in m.atoms) for m in marginals) / len(marginals)
-        for i in range(dim)
-    ]
-    x = [_as_fraction(v) for v in mean]
-    score = min(tukey_depth(m, x).value for m in marginals)
-    rng = np.random.default_rng(seed)
-    radius = 1.0
-    for _ in range(steps):
-        delta = rng.standard_normal(dim)
-        cand = [
-            xi + Fraction(float(d * radius)).limit_denominator(10 ** 6)
-            for xi, d in zip(x, delta)
-        ]
-        val = min(tukey_depth(m, cand).value for m in marginals)
-        if val > score:
-            x, score = cand, val
-        else:
-            radius *= 0.85
-    return tuple(x)
 
 
 def objective(frame, clouds, n):
@@ -270,21 +243,11 @@ def _run_restart(index, seed, clouds, n, target, config):
     return _RestartResult(index, best_val, frame, best_val >= target)
 
 
-def _worker_count():
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def search(clouds, n, config=None):
     """Random-restart hill climbing over frames; exact acceptance tests.
 
-    Restarts run in index-ordered chunks sized by the worker count; the
-    selected result is the first restart index reaching the target, or
-    the best (objective, -index) otherwise, so the report is independent
-    of the chunking.
+    Restarts run in index order until one reaches the target; that one is
+    reported, or else the best objective with the lowest index.
     """
     _check_clouds(None, clouds)
     if config is None:
@@ -303,52 +266,22 @@ def search(clouds, n, config=None):
             stacklevel=2,
         )
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.restarts)
-    workers = _worker_count()
     best = None
-    chosen = None
-    completed = []
-    idx = 0
-    while idx < config.restarts and chosen is None:
-        chunk = list(range(idx, min(idx + workers, config.restarts)))
-        if workers == 1 or len(chunk) == 1:
-            results = [
-                _run_restart(i, seeds[i], clouds, n, target, config) for i in chunk
-            ]
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda i: _run_restart(i, seeds[i], clouds, n, target, config),
-                        chunk,
-                    )
-                )
-        completed.extend(results)
-        for res in results:
-            if best is None or (res.objective, -res.index) > (
-                best.objective,
-                -best.index,
-            ):
-                best = res
-            if res.success:
-                chosen = res
-                break
-        idx += len(chunk)
-    final = chosen if chosen is not None else best
-    # on early exit, restarts past the chosen index may or may not have run
-    # depending on chunking; drop them so the report is scheduling-invariant
-    trajectory = tuple(
-        (res.index, float(res.objective), res.success)
-        for res in sorted(completed, key=lambda r: r.index)
-        if chosen is None or res.index <= chosen.index
-    )
+    trajectory = []
+    for index, seed in enumerate(seeds):
+        res = _run_restart(index, seed, clouds, n, target, config)
+        trajectory.append((index, float(res.objective), res.success))
+        # a restart that reaches the target beats every earlier one
+        if best is None or res.objective > best.objective:
+            best = res
+        if res.success:
+            break
     return verify(
-        final.frame,
+        best.frame,
         clouds,
         n,
         target=target,
-        restart_index=final.index,
+        restart_index=best.index,
         config=config,
         trajectory=trajectory,
     )

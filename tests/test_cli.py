@@ -327,6 +327,20 @@ def test_transversal_n_must_fit_the_input(capsys, tmp_path):
     _assert_bad_input(["transversal", "--input", tri, "--frame", str(frame), "--n", "3"], capsys)
 
 
+@pytest.mark.parametrize("body", [[1], "x"], ids=["list", "string"])
+@pytest.mark.parametrize("option", ["--input", "--frame", "--vertices"])
+def test_json_top_level_not_an_object_exit_2(capsys, tmp_path, option, body):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(body))
+    cloud = write_triangle(tmp_path / "tri.json")
+    args = {
+        "--input": ["depth", "--input", str(path)],
+        "--frame": ["transversal", "--input", cloud, "--frame", str(path)],
+        "--vertices": ["simplex", "--vertices", str(path)],
+    }[option]
+    _assert_bad_input(args, capsys)
+
+
 # runs the CLI in a fresh interpreter and names the float modules it loaded
 _LOADED_AFTER_MAIN = """
 import contextlib, io, json, sys

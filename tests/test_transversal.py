@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +10,6 @@ from centertrans.generators import generate_cloud
 from centertrans.serialize import dump_json
 from centertrans.transversal import (
     SearchConfig,
-    ENV_THREADS,
     objective,
     random_frame,
     search,
@@ -173,21 +171,15 @@ def test_orthogonal_equivariance_of_objective():
     assert value_q == value
 
 
-def test_search_determinism_across_thread_counts():
+def test_search_determinism_cold_and_warm_cache():
     c = embedded(planar_cloud(seed=21, atoms=9))
     cfg = SearchConfig(restarts=6, local_steps=5, master_seed=3)
-    old = os.environ.get(ENV_THREADS)
-    try:
-        os.environ[ENV_THREADS] = "1"
-        rep1 = search([c], 2, cfg)
-        os.environ[ENV_THREADS] = "3"
-        rep2 = search([c], 2, cfg)
-    finally:
-        if old is None:
-            os.environ.pop(ENV_THREADS, None)
-        else:
-            os.environ[ENV_THREADS] = old
+    # a fresh copy starts with empty integer and direction-table caches
+    rep1 = search([WeightedPointCloud(c.dim, c.atoms)], 2, cfg)
+    rep2 = search([c], 2, cfg)
+    rep3 = search([c], 2, cfg)
     assert dump_json(rep1.to_dict()) == dump_json(rep2.to_dict())
+    assert dump_json(rep2.to_dict()) == dump_json(rep3.to_dict())
 
 
 def test_search_warns_below_guaranteed_dimension():
