@@ -27,6 +27,7 @@ against.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations
 
 from . import polygon
@@ -320,6 +321,25 @@ def _nullspace_direction(rows, dim):
     return _primitive(tuple(int(v * den) for v in vec))
 
 
+@lru_cache(maxsize=8)
+def _sample_directions(dim, samples, seed):
+    """Nonzero integer directions, exactly rescaled seeded Gaussian samples.
+
+    They do not depend on the cloud or the point, so each (dim, samples,
+    seed) builds them once.
+    """
+    import numpy as np
+
+    out = []
+    for row in np.random.default_rng(seed).standard_normal((samples, dim)):
+        f = [Fraction(float(c)) for c in row]
+        den = math.lcm(*(c.denominator for c in f))
+        v = tuple(int(c * den) for c in f)
+        if any(v):
+            out.append(v)
+    return tuple(out)
+
+
 def _depth_upper_bound(cloud, x, samples=512, subset_cap=2000, seed=0):
     """Certified upper bound for dim > 3: min mass over candidate normals."""
     import numpy as np
@@ -344,13 +364,7 @@ def _depth_upper_bound(cloud, x, samples=512, subset_cap=2000, seed=0):
         if v is not None:
             candidates.append(v)
             candidates.append(tuple(-c for c in v))
-    rng = np.random.default_rng(seed + 1)
-    for row in rng.standard_normal((samples, dim)):
-        f = [Fraction(float(c)) for c in row]
-        den = math.lcm(*(c.denominator for c in f))
-        v = tuple(int(c * den) for c in f)
-        if any(v):
-            candidates.append(v)
+    candidates.extend(_sample_directions(dim, samples, seed + 1))
     best = None
     for v in candidates:
         val = at_x + sum(wt for u, wt in offsets if _dot(u, v) >= 0)

@@ -8,6 +8,13 @@ search with exact emptiness certificates.  The outer problem (which
 subspace) is random-restart hill climbing with plane-rotation moves; a
 move is accepted only when the exact objective strictly increases.
 
+For n = 2 the objective equals the common level L: the witness, the
+centroid of the convex common region at L, has depth at least L in every
+marginal, and a least depth above L would put it in every region at a
+higher level.  So the restarts compare levels alone, and only
+``verify`` builds the witness, checking that its least depth is the
+level.
+
 Restarts run one after another.  Each draws its randomness from its own
 child of the master seed, the search stops at the first restart that
 reaches the target, and otherwise reports the best objective with the
@@ -29,7 +36,7 @@ from .cloud import OrthoFrame, _as_fraction
 from .depth import (
     _ascent, _deepest_common_region, _mean, marginal, thresholds, tukey_depth,
 )
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 from .schubert import min_dimension
 from .serialize import frac_str
 
@@ -131,7 +138,7 @@ def _common_level(marginals):
 def _objective_parts(frame, clouds, n):
     marginals = [marginal(c, frame) for c in clouds]
     if n == 2:
-        _, witness = _common_level(marginals)
+        level, witness = _common_level(marginals)
         exact = True
     else:
         means = [_mean(m) for m in marginals]
@@ -139,15 +146,19 @@ def _objective_parts(frame, clouds, n):
         witness, _ = _ascent(marginals, start, 1.0, 60, 0.85, 10 ** 6, 0)
         exact = False
     per = tuple(tukey_depth(m, witness).value for m in marginals)
+    if n == 2 and min(per) != level:
+        raise InternalConsistencyError(
+            "least depth %s at the witness is not the common level %s" % (min(per), level)
+        )
     return min(per), witness, per, marginals, exact
 
 
 def objective(frame, clouds, n):
-    """(exact max-min level's witness value, witness point) for the frame.
+    """(exact least depth at the witness, witness point) for the frame.
 
-    The returned value is the minimum over measures of the exact depth at
-    the witness, so it can only meet or exceed the feasibility level that
-    produced the witness.
+    The value is the minimum over measures of the exact depth at the
+    witness.  For n = 2 the witness is the centroid of the deepest common
+    region, and the value equals the common level.
     """
     _check_clouds(frame, clouds)
     value, witness, _, _, _ = _objective_parts(frame, clouds, n)
@@ -213,11 +224,17 @@ class _RestartResult:
 
 
 def _run_restart(index, seed, clouds, n, target, config):
+    def value(frame):
+        # for n = 2 the objective is the common level: no witness needed
+        if n == 2:
+            return _deepest_common_region([marginal(c, frame) for c in clouds])[0]
+        return _objective_parts(frame, clouds, n)[0]
+
     rng = np.random.default_rng(seed)
     ambient = clouds[0].dim
     rows = _orthonormalize(rng.standard_normal((n, ambient)))
     frame = OrthoFrame(rows)
-    best_val, _, _, _, _ = _objective_parts(frame, clouds, n)
+    best_val = value(frame)
     angle = config.initial_angle
     step = 0
     while step < config.local_steps and best_val < target:
@@ -234,7 +251,7 @@ def _run_restart(index, seed, clouds, n, target, config):
         new[row] = math.cos(angle) * arr[row] + math.sin(angle) * d
         new[row] /= np.linalg.norm(new[row])
         cand = OrthoFrame(tuple(tuple(r) for r in new))
-        val, _, _, _, _ = _objective_parts(cand, clouds, n)
+        val = value(cand)
         if val > best_val:
             frame, best_val = cand, val
             angle = config.initial_angle

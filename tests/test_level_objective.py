@@ -1,0 +1,128 @@
+"""For n = 2 the search objective is the common level of the marginals.
+
+``_run_restart`` compares levels alone and builds no witness; ``verify``
+builds the witness and checks that its least depth is the level.  The
+oracle below is the restart loop that evaluated the whole objective
+(witness and exact depths) at every move; the level-only loop must make
+the same accept decisions and reach the same objectives.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from centertrans import transversal
+from centertrans.cloud import OrthoFrame, WeightedPointCloud
+from centertrans.depth import _deepest_common_region, _sample_directions, marginal, tukey_depth
+from centertrans.errors import InternalConsistencyError
+from centertrans.generators import generate_cloud, maintheorem_suite
+from centertrans.transversal import (
+    SearchConfig, _objective_parts, _orthonormalize, _run_restart, random_frame, verify,
+)
+
+F = Fraction
+
+
+def _pairs():
+    near = generate_cloud("gaussian-quantized", seed=41, atoms=9, dim=7)
+    far = generate_cloud("gaussian-quantized", seed=42, atoms=9, dim=7)
+    # every atom of the second cloud moved far along the first axis: the
+    # axis-frame marginals have disjoint hulls, so no level meets
+    far = WeightedPointCloud(7, [((p[0] + 1000,) + p[1:], w) for p, w in far.atoms])
+    return {"criterion-9 pair 1": maintheorem_suite(count=2)[1], "far apart": (near, far)}
+
+
+def _axis_frame(ambient):
+    return OrthoFrame([[int(j == i) for j in range(ambient)] for i in range(2)])
+
+
+def _level(frame, clouds):
+    return _deepest_common_region([marginal(c, frame) for c in clouds])[0]
+
+
+@pytest.mark.parametrize("name", ["criterion-9 pair 1", "far apart"])
+def test_level_equals_objective(name):
+    clouds = _pairs()[name]
+    frames = [random_frame(7, 2, seed) for seed in range(6)] + [_axis_frame(7)]
+    levels = []
+    for frame in frames:
+        level = _level(frame, clouds)
+        assert level == _objective_parts(frame, clouds, 2)[0]
+        levels.append(level)
+    if name == "far apart":
+        assert levels[-1] == 0
+    else:
+        assert min(levels) > 0
+
+
+def _oracle_restart(seed, clouds, n, target, config):
+    """The restart loop as it was: the full objective at every move."""
+    rng = np.random.default_rng(seed)
+    ambient = clouds[0].dim
+    frame = OrthoFrame(_orthonormalize(rng.standard_normal((n, ambient))))
+    best_val = _objective_parts(frame, clouds, n)[0]
+    angle = config.initial_angle
+    step = accepted = 0
+    while step < config.local_steps and best_val < target:
+        step += 1
+        arr = frame.as_array()
+        row = int(rng.integers(n))
+        d = rng.standard_normal(ambient)
+        d -= arr.T @ (arr @ d)
+        nrm = float(np.linalg.norm(d))
+        if nrm < 1e-9:
+            continue
+        d /= nrm
+        new = arr.copy()
+        new[row] = math.cos(angle) * arr[row] + math.sin(angle) * d
+        new[row] /= np.linalg.norm(new[row])
+        cand = OrthoFrame(tuple(tuple(r) for r in new))
+        val = _objective_parts(cand, clouds, n)[0]
+        if val > best_val:
+            frame, best_val = cand, val
+            angle = config.initial_angle
+            accepted += 1
+        else:
+            angle *= config.decay
+    return best_val, frame, accepted
+
+
+def test_restart_matches_full_objective_oracle():
+    clouds = _pairs()["criterion-9 pair 1"]
+    config = SearchConfig(restarts=4, local_steps=10, master_seed=5)
+    target = F(1)  # unreachable: every restart runs all its moves
+    accepted = 0
+    for index, seed in enumerate(np.random.SeedSequence(5).spawn(4)):
+        want, frame, moves = _oracle_restart(seed, clouds, 2, target, config)
+        got = _run_restart(index, seed, clouds, 2, target, config)
+        assert got.objective == want
+        assert got.frame.rows == frame.rows
+        assert not got.success
+        accepted += moves
+    assert accepted > 0  # the loops agree on accepted moves, not only on rejections
+
+
+def test_verify_raises_when_least_depth_is_not_the_level(monkeypatch):
+    clouds = _pairs()["criterion-9 pair 1"]
+    frame = random_frame(7, 2, 0)
+    assert verify(frame, clouds, 2).objective == _level(frame, clouds)
+    common_level = transversal._common_level
+
+    def off_by_one_step(marginals):
+        level, witness = common_level(marginals)
+        return level + F(1, 10 ** 6), witness
+
+    monkeypatch.setattr(transversal, "_common_level", off_by_one_step)
+    with pytest.raises(InternalConsistencyError):
+        verify(frame, clouds, 2)
+
+
+def test_sample_directions_built_once_per_key():
+    cloud = generate_cloud("gaussian-quantized", seed=4, atoms=4, dim=4)
+    _sample_directions.cache_clear()
+    for x in ((0, 0, 0, 0), (F(1, 3), 0, F(-1, 2), 1)):
+        tukey_depth(cloud, x)
+    info = _sample_directions.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

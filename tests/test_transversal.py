@@ -220,7 +220,7 @@ def test_monotone_feasibility_of_levels():
             assert depth_region(cloud, lower).contains(witness)
 
 
-def test_search_trajectory_trimmed_to_selected_restart():
+def test_search_trajectory_lists_every_restart_run():
     c = embedded(planar_cloud(seed=27))
     cfg = SearchConfig(restarts=5, local_steps=3, master_seed=9, target=F(1))
     rep = search([c], 2, cfg)  # unreachable target: all restarts recorded
@@ -228,4 +228,6 @@ def test_search_trajectory_trimmed_to_selected_restart():
     assert indices == list(range(5))
     assert rep.restart_index in indices
     easy = search([c], 2, SearchConfig(restarts=5, local_steps=3, master_seed=9))
-    assert all(row[0] <= easy.restart_index for row in easy.trajectory)
+    # the search stops at the first restart that reaches the target
+    assert easy.success
+    assert [row[0] for row in easy.trajectory] == list(range(easy.restart_index + 1))
