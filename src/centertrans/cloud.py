@@ -33,8 +33,10 @@ class WeightedPointCloud:
     Treated as immutable after construction; all operations return new
     clouds.  Integer rescalings of the weights and coordinates are cached
     lazily because the exact depth routines work on integers, and so is
-    the planar direction table that ``depth`` builds for region queries
-    (``_direction_table``, derived from the atoms alone).
+    the angular sweep that ``depth`` records for planar region queries
+    (``_direction_table``, derived from the atoms alone: the directions
+    in angular order, the blocks of collinear atoms that reverse at
+    each, and the levels).
     """
 
     def __init__(self, dim, atoms):

@@ -9,25 +9,30 @@ over the common weight denominator.
 
 The superlevel region {x : depth(x) >= tau} in the plane is cut out by
 halfplanes normal to atom differences (plus the coordinate axes, which
-keep degenerate clouds bounded): between consecutive such normals the
-projection order of the atoms is constant, so the supporting threshold
-rotates through an atom and the intermediate constraints are implied by
-the two bounding ones.  One clip against the halfplanes of several
+keep degenerate clouds bounded).  One angular sweep per cloud
+(_DirectionTable, the rotating line of Ruts & Rousseeuw 1996) sorts
+these normals once by exact angle and records how the projection order
+of the atoms changes between them: collinear atoms reverse a block.
+Between changes the threshold line at level tau turns about one atom,
+so of each such run of directions only the two ends can bind, and a
+query emits only those.  One clip against the halfplanes of several
 clouds gives the intersection of their regions, and one binary search
-over their finite level set finds the largest level at which it is
-nonempty: for one cloud, the depth of the measure.
+over their finite level set, read off the same sweep, finds the largest
+level at which it is nonempty: for one cloud, the depth of the measure.
 
 The clip runs in homogeneous integer coordinates: every halfplane is
 rescaled to the common coordinate scale of the clouds, each vertex is
 the meet of two input lines, and vertices become Fractions only in the
 output.  ``polygon.clip_many`` is the Fraction reference it is tested
-against.
+against, and the per-direction table the sweep replaced is kept in the
+tests as the reference for its levels and regions.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 from itertools import accumulate, combinations
 
 from . import polygon
@@ -150,7 +155,7 @@ def _int_offsets(cloud, x):
 
 
 def _primitive(vec):
-    g = math.gcd(*(abs(c) for c in vec))
+    g = math.gcd(*vec)
     return tuple(c // g for c in vec)
 
 
@@ -394,13 +399,62 @@ def tukey_depth(cloud, x):
     return _depth_upper_bound(cloud, x)
 
 
-class _DirectionTable:
-    """Per-cloud data for planar region queries.
+def _angle_key(v):
+    """A float that never decreases as the angle of v from (1, 0) grows.
 
-    For every direction normal to an atom difference (both orientations,
-    plus the coordinate axes) the atom projections are pre-sorted with
-    cumulative integer weights, so superlevel thresholds at any level are
-    binary searches.
+    v is rotated out of its quadrant q as (a, b) with a > 0 and b >= 0,
+    and the key is q + b / (a + b).  Integer quotients and float sums are
+    correctly rounded, so only equal keys need the exact check of
+    _angle_sorted.
+    """
+    x, y = v
+    if x > 0 and y >= 0:
+        return y / (x + y)
+    if y > 0:
+        return 1 + -x / (y - x)
+    if x < 0:
+        return 2 + y / (x + y)
+    return 3 + x / (x - y)
+
+
+def _angle_sorted(dirs):
+    """Distinct nonzero integer vectors in exact angular order from (1, 0)."""
+    keyed = sorted(zip(map(_angle_key, dirs), dirs))
+    keys = [k for k, _ in keyed]
+    out = [v for _, v in keyed]
+    if len(set(keys)) < len(keys):
+        # equal keys span a tiny angle, where the cross product decides
+        ccw = cmp_to_key(lambda a, b: b[0] * a[1] - b[1] * a[0])
+        lo = 0
+        for hi in range(1, len(keys) + 1):
+            if hi == len(keys) or keys[hi] != keys[lo]:
+                out[lo:hi] = sorted(out[lo:hi], key=ccw)
+                lo = hi
+    return out
+
+
+class _DirectionTable:
+    """Per-cloud angular sweep for planar region queries.
+
+    The directions are the normals to atom differences (both
+    orientations) and the four axes, sorted once by exact angle from
+    (1, 0).  Between consecutive directions the order of the distinct
+    atoms by projection is constant.  At a direction, the atoms on one
+    line normal to it form a contiguous block of that order, and passing
+    the direction reverses the block.  The sweep records each reversed
+    block with its new atoms and prefix weights.  The levels are the
+    prefix weights of every order it passes through: two consecutive
+    directions are never parallel, so each rank of an order ends a tie
+    group at one of the two directions around it, where its prefix
+    weight is a cumulative weight of the projections.
+
+    At level tau the threshold line of a direction passes through the
+    atom at the threshold rank j, the first rank whose prefix weight
+    reaches tau.  A query follows j alone: j and its atom change only
+    inside a reversed block.  Consecutive directions that share the atom
+    form a run; runs break at the axes, so their normals span at most
+    pi / 2, and every middle halfplane of a run is a nonnegative
+    combination of its two ends.  Only run ends are emitted.
     """
 
     def __init__(self, cloud):
@@ -414,63 +468,108 @@ class _DirectionTable:
         xs = [p[0] for p in ipts]
         ys = [p[1] for p in ipts]
         self.bounds = (min(xs), min(ys), max(xs), max(ys))
-        dirs = set()
-        for (a, b) in combinations(sorted(set(ipts)), 2):
-            d = (a[0] - b[0], a[1] - b[1])
-            n = _primitive((-d[1], d[0]))
-            dirs.add(n)
-            dirs.add((-n[0], -n[1]))
-        dirs.update([(1, 0), (-1, 0), (0, 1), (0, -1)])
-        self.directions = sorted(dirs)
-        self.proj_vals = []
-        self.cum_weights = []
-        levels = set()
-        for v in self.directions:
-            acc = {}
-            for pt, w in zip(ipts, ws):
-                key = v[0] * pt[0] + v[1] * pt[1]
-                acc[key] = acc.get(key, 0) + w
-            vals = sorted(acc, reverse=True)
-            cums = []
-            run = 0
-            for val in vals:
-                run += acc[val]
-                cums.append(run)
-            self.proj_vals.append(vals)
-            self.cum_weights.append(cums)
-            levels.update(cums)
-        self.levels = sorted(levels)
-
-    def threshold(self, idx, level_num, level_den):
-        """Largest projection s with mass{<y,v> >= s} >= level."""
-        # smallest integer target with cum >= level * weight_den
-        target = -((-level_num * self.weight_den) // level_den)
-        cums = self.cum_weights[idx]
-        lo, hi = 0, len(cums) - 1
-        if cums[hi] < target:
-            return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cums[mid] >= target:
-                hi = mid
+        mass = {}
+        for pt, w in zip(ipts, ws):
+            mass[pt] = mass.get(pt, 0) + w
+        # atoms are numbered by their rank in the order just after (1, 0):
+        # descending x, then descending y
+        self._points = pts = sorted(mass, reverse=True)
+        weights = [mass[p] for p in pts]
+        # atoms on one line, keyed by the line's canonical normal and offset
+        lines = {}
+        for i, j in combinations(range(len(pts)), 2):
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            nx, ny = _canonical_line((by - ay, ax - bx))
+            key = (nx, ny, nx * ax + ny * ay)
+            if key in lines:
+                lines[key].update((i, j))
             else:
-                lo = mid + 1
-        return self.proj_vals[idx][lo]
+                lines[key] = {i, j}
+        ties = {}
+        for (nx, ny, _), atoms in lines.items():
+            ties.setdefault((nx, ny), []).append(atoms)
+        # a line ties its atoms at both orientations of its normal
+        ties.update({(-nx, -ny): g for (nx, ny), g in list(ties.items())})
+        self.directions = _angle_sorted(
+            set(ties) | {(1, 0), (0, 1), (-1, 0), (0, -1)}
+        )
+        # the axes after (1, 0), then a sentinel past the last direction
+        self._axes = tuple(
+            self.directions.index(a) for a in ((0, 1), (-1, 0), (0, -1))
+        ) + (len(self.directions),)
+        order = list(range(len(pts)))
+        pos = list(range(len(pts)))
+        prefix = list(accumulate(weights))
+        self._initial_prefix = tuple(prefix)
+        levels = set(prefix)
+        # per rank: the directions whose reversed block covers it, and those
+        # blocks as (start, new atoms, new prefix weights)
+        self._events = events = [[] for _ in pts]
+        self._blocks = blocks = [[] for _ in pts]
+        # the sweep starts just after (1, 0), so index 0 is not replayed
+        for d, v in enumerate(self.directions[1:], 1):
+            for atoms in ties.get(v, ()):
+                ranks = [pos[a] for a in atoms]
+                s, e = min(ranks), max(ranks) + 1
+                if e - s != len(atoms):
+                    raise InternalConsistencyError("tied atoms are not contiguous")
+                seg = order[s:e][::-1]
+                order[s:e] = seg
+                run = prefix[s - 1] if s else 0
+                for r, a in enumerate(seg, s):
+                    pos[a] = r
+                    run += weights[a]
+                    prefix[r] = run
+                block = (s, tuple(seg), tuple(prefix[s:e]))
+                levels.update(block[2])
+                for r in range(s, e):
+                    events[r].append(d)
+                    blocks[r].append(block)
+        self.levels = sorted(levels)
 
     def halfplanes(self, tau, scale):
         """Integer (vx, vy, c) with vx*x + vy*y <= c / scale, or None.
 
-        None means tau exceeds the total mass (an empty region); scale
-        must be a multiple of coord_scale.
+        The run ends of the sweep, in angular order; None means tau
+        exceeds the total mass (an empty region).  scale must be a
+        multiple of coord_scale.
         """
+        # smallest integer target with prefix weight >= tau * weight_den
+        target = -((-tau.numerator * self.weight_den) // tau.denominator)
+        prefix = self._initial_prefix
+        if prefix[-1] < target:
+            return None
         m = scale // self.coord_scale
+        dirs, pts, axes = self.directions, self._points, self._axes
+        events_at, blocks_at = self._events, self._blocks
+        n_dirs = len(dirs)
         out = []
-        for i, (vx, vy) in enumerate(self.directions):
-            s = self.threshold(i, tau.numerator, tau.denominator)
-            if s is None:
-                return None
-            out.append((vx, vy, s * m))
-        return out
+
+        def emit(d, a):
+            (vx, vy), (px, py) = dirs[d], pts[a]
+            out.append((vx, vy, (vx * px + vy * py) * m))
+
+        atom = j = bisect_left(prefix, target)
+        emit(0, atom)
+        d = ai = 0
+        while True:
+            events = events_at[j]
+            i = bisect_right(events, d)
+            d = min(events[i] if i < len(events) else n_dirs, axes[ai])
+            if d == n_dirs:
+                return out
+            at_axis = d == axes[ai]
+            ai += at_axis
+            nxt = atom
+            if i < len(events) and events[i] == d:
+                s, seg, pre = blocks_at[j][i]
+                j = s + bisect_left(pre, target)
+                nxt = seg[j - s]
+            # a run ends at an axis and where the threshold atom changes;
+            # the threshold line there passes through both atoms
+            if at_axis or nxt != atom:
+                emit(d, atom)
+            atom = nxt
 
     def start_box(self, scale):
         """(lo_x, lo_y, hi_x, hi_y) over scale: the atoms' box grown by 1."""

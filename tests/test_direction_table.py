@@ -1,0 +1,154 @@
+"""The angular sweep of depth._DirectionTable against the per-direction table.
+
+reference_table.ReferenceTable sorts every atom for every direction and
+keeps one halfplane per direction.  The sweep must give the same
+directions and levels, and its run ends must cut out the same canonical
+region at every level, for one cloud and for the joint region of
+several clouds.
+"""
+
+import math
+from fractions import Fraction
+from functools import cmp_to_key
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centertrans.cloud import WeightedPointCloud
+from centertrans.depth import (
+    _angle_sorted,
+    _direction_table,
+    _region_vertices,
+    depth_of_measure,
+)
+from centertrans.generators import generate_cloud
+from reference_table import ReferenceTable, reference_levels, reference_region
+
+F = Fraction
+
+
+def cloud(points, weights=None):
+    weights = weights or [1] * len(points)
+    total = sum(weights)
+    return WeightedPointCloud(
+        2, [(tuple(map(F, p)), F(w, total)) for p, w in zip(points, weights)]
+    )
+
+
+def probe_levels(clouds):
+    """Every level, the midpoints between them and one level above the mass."""
+    levels = reference_levels(clouds)
+    mids = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    return levels + mids + [levels[0] / 2, F(3, 2)]
+
+
+def assert_matches_reference(clouds):
+    for c in clouds:
+        table, ref = _direction_table(c), ReferenceTable(c)
+        assert sorted(table.directions) == ref.directions
+        assert table.levels == ref.levels
+    for tau in probe_levels(clouds):
+        assert _region_vertices(clouds, tau) == reference_region(clouds, tau), tau
+
+
+BIG = 10 ** 20
+
+CASES = {
+    "one atom": cloud([(0, 0)]),
+    "one rational atom": cloud([(F(1, 2), F(-3, 7))]),
+    "two atoms": cloud([(0, 0), (1, 2)], [1, 3]),
+    "horizontal pair": cloud([(0, 0), (3, 0)]),
+    "vertical pair": cloud([(1, -2), (1, 5)], [2, 1]),
+    "duplicate atoms": cloud([(0, 0), (0, 0), (1, 1)], [1, 2, 3]),
+    "one point thrice": cloud([(1, 2), (1, 2), (1, 2)]),
+    "collinear triple": cloud([(0, 0), (1, 1), (2, 2)], [3, 1, 2]),
+    "axis-parallel square": cloud([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1)]),
+    "5x5 grid": cloud([(x, y) for x in range(-2, 3) for y in range(-2, 3)]),
+    # normals whose float angle keys tie
+    "near-parallel normals": cloud(
+        [(0, 0), (BIG, 1), (BIG + 1, 1), (1, -BIG), (-BIG, 2)], [1, 2, 1, 3, 1]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_named_clouds_match_reference(name):
+    assert_matches_reference([CASES[name]])
+
+
+def grid_cloud(rng, n_atoms):
+    """Atoms on the integer grid [-3, 3]^2: collinear triples, duplicates
+    and axis-parallel pairs are common; weights are unequal."""
+    pts = rng.integers(-3, 4, size=(n_atoms, 2)).tolist()
+    return cloud(pts, rng.integers(1, 5, size=n_atoms).tolist())
+
+
+def test_seeded_grid_clouds_match_reference():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        assert_matches_reference([grid_cloud(rng, int(rng.integers(1, 11)))])
+
+
+def test_seeded_joint_regions_match_reference():
+    rng = np.random.default_rng(72)
+    kinds = set()
+    for _ in range(15):
+        clouds = [grid_cloud(rng, int(rng.integers(1, 8))) for _ in range(int(rng.integers(2, 4)))]
+        assert_matches_reference(clouds)
+        kinds.update(min(len(_region_vertices(clouds, t)), 3) for t in reference_levels(clouds))
+    assert kinds == {0, 1, 2, 3}
+
+
+def test_generated_cloud_matches_reference():
+    assert_matches_reference([generate_cloud("gaussian-quantized", seed=5, atoms=12, dim=2)])
+
+
+def test_run_ends_prune_most_planes():
+    c = generate_cloud("gaussian-quantized", seed=102, atoms=50, dim=2)
+    level = depth_of_measure(c)[0].value
+    table = _direction_table(c)
+    planes = table.halfplanes(level, table.coord_scale)
+    assert 5 * len(planes) < len(table.directions)
+
+
+def grid_clouds():
+    atom = st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 3))
+    one = st.lists(atom, min_size=1, max_size=7).map(
+        lambda atoms: cloud([p for p, _ in atoms], [w for _, w in atoms])
+    )
+    return st.lists(one, min_size=1, max_size=2)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(clouds=grid_clouds())
+def test_sweep_matches_reference_property(clouds):
+    assert_matches_reference(clouds)
+
+
+def exact_angle_order(a, b):
+    """Exact comparison of angles from (1, 0) in [0, 2 pi)."""
+
+    def half(v):
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    if half(a) != half(b):
+        return half(a) - half(b)
+    return b[0] * a[1] - b[1] * a[0]
+
+
+def near_parallel_vectors():
+    """Primitive vectors mixing small components with ones near +-BIG,
+    so that many share a float angle key."""
+    component = st.integers(-5, 5) | st.builds(
+        lambda s, t: s * BIG + t, st.sampled_from([-1, 1]), st.integers(-3, 3)
+    )
+    vec = st.tuples(component, component).filter(lambda v: math.gcd(*v) == 1)
+    return st.sets(vec, min_size=1, max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(dirs=near_parallel_vectors())
+def test_angle_sort_is_exact(dirs):
+    assert _angle_sorted(dirs) == sorted(dirs, key=cmp_to_key(exact_angle_order))

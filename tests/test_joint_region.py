@@ -1,13 +1,13 @@
 """The joint region kernel and the shared level search against the oracles.
 
-The kernel clips one box against every cloud's halfplanes at once, in
-homogeneous integers.  One oracle clips the same halfplanes as Fractions
-with polygon.clip_many; the other builds one region per cloud and folds
-them together with polygon.intersect.  Canonical vertex form is unique,
-so all of them must agree tuple for tuple.
+The kernel clips one box against every cloud's run-end halfplanes at
+once, in homogeneous integers.  One oracle clips every direction's
+halfplane of the per-direction reference table as Fractions with
+polygon.clip_many; the other builds one region per cloud and folds them
+together with polygon.intersect.  Canonical vertex form is unique, so
+all of them must agree tuple for tuple.
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +28,7 @@ from centertrans.depth import (
     marginal,
 )
 from centertrans.transversal import _common_level
+from reference_table import reference_region
 
 F = Fraction
 
@@ -66,24 +67,9 @@ def quantized_marginal(rng, n_atoms):
     return marginal(c, OrthoFrame(q.T.tolist()))
 
 
-def clipped_by_oracle(clouds, tau):
-    """The kernel's halfplanes and start box as Fractions, clipped one by one."""
-    tables = [_direction_table(c) for c in clouds]
-    scale = math.lcm(*(t.coord_scale for t in tables))
-    planes = []
-    for t in tables:
-        hp = t.halfplanes(tau, scale)
-        if hp is None:
-            return ()
-        planes.extend((vx, vy, F(c, scale)) for vx, vy, c in hp)
-    lo_x, lo_y, hi_x, hi_y = (F(v, scale) for v in tables[0].start_box(scale))
-    box = ((lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y))
-    return polygon.clip_many(box, planes)
-
-
 def assert_kernel_matches_oracle(clouds, tau):
     joint = _region_vertices(clouds, tau)
-    assert joint == clipped_by_oracle(clouds, tau), tau
+    assert joint == reference_region(clouds, tau), tau
     assert polygon.normalize(_region_vertices(clouds, tau, canonical=False)) == joint
     return joint
 
