@@ -190,9 +190,12 @@ class OrthoFrame:
         if len(rows) > ambient:
             raise DomainError("more rows than ambient dimension")
         tolerance = float(tolerance)
-        if tolerance < 0:
-            raise DomainError("tolerance must be >= 0")
+        # a NaN or infinite tolerance would pass any Gram defect
+        if not math.isfinite(tolerance) or tolerance < 0:
+            raise DomainError("tolerance must be finite and >= 0, got %r" % (tolerance,))
         g = np.array([[float(x) for x in r] for r in rows], dtype=float)
+        if not np.isfinite(g).all():
+            raise DomainError("frame rows must be finite numbers")
         gram = g @ g.T
         defect = float(np.max(np.abs(gram - np.eye(len(rows)))))
         if defect > max(tolerance, 1e-15):

@@ -29,6 +29,7 @@ tests as the reference for its levels and regions.
 """
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -811,17 +812,26 @@ def marginal(cloud, frame, digits=None):
     """Pushforward of the cloud onto the frame's coordinate system.
 
     Frame rows are quantized to rationals (default 12 decimal digits;
-    exact rational rows pass through unchanged), coordinates are computed
-    exactly, and coincident images merge with summed weights.
+    exact rational rows pass through unchanged) and scaled to integers
+    by the lcm ``row_scale`` of their denominators.  Each image is the
+    tuple of integer dot products of those rows with the cloud's
+    ``int_points``, so every coordinate is that integer over
+    ``row_scale * coord_scale``.  Coincident images merge with summed
+    weights, and the atoms come out sorted by coordinates.
     """
     if frame.ambient != cloud.dim:
         raise DomainError(
             "frame ambient %d does not match cloud dim %d" % (frame.ambient, cloud.dim)
         )
     rows = frame.quantized_rows() if digits is None else frame.quantized_rows(digits)
+    row_scale = math.lcm(*(x.denominator for row in rows for x in row))
+    irows = [tuple(x.numerator * (row_scale // x.denominator) for x in row) for row in rows]
+    coord_scale, ipts = cloud.int_points
     merged = {}
-    for p, w in cloud.atoms:
-        y = tuple(sum(rc * pc for rc, pc in zip(row, p)) for row in rows)
-        merged[y] = merged.get(y, Fraction(0)) + w
-    atoms = [(y, merged[y]) for y in sorted(merged)]
+    for p, (_, w) in zip(ipts, cloud.atoms):
+        y = tuple(sum(map(operator.mul, row, p)) for row in irows)
+        merged[y] = merged[y] + w if y in merged else w
+    # one positive denominator, so the integer order is the rational order
+    den = row_scale * coord_scale
+    atoms = [(tuple(Fraction(v, den) for v in y), merged[y]) for y in sorted(merged)]
     return WeightedPointCloud(frame.n, atoms)

@@ -7,6 +7,7 @@ report files.
 """
 
 import json
+import math
 from fractions import Fraction
 
 from .errors import DomainError
@@ -21,10 +22,13 @@ def frac_str(x):
 def parse_frac(s):
     """Parse "p/q", integer, or decimal text into an exact Fraction.
 
-    Decimal strings convert exactly ("0.25" -> 1/4).
+    Decimal strings convert exactly ("0.25" -> 1/4).  JSON booleans are
+    not rationals, although Python counts them as integers.
     """
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, bool):
+        raise DomainError("bad rational literal %r" % (s,))
     if isinstance(s, int):
         return Fraction(s)
     text = str(s).strip()
@@ -42,13 +46,22 @@ def float_list(vec, digits=15):
 
 
 def float_rows(value, what):
-    """Real-valued rows read from a file (frame rows, simplex vertices)."""
+    """Real-valued rows read from a file (frame rows, simplex vertices).
+
+    JSON readers accept NaN and Infinity; no row may hold either, nor a
+    boolean, which float() would read as 0 or 1.
+    """
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise DomainError("%s must be a list of lists of numbers" % what)
+    if any(isinstance(x, bool) for row in value for x in row):
+        raise DomainError("%s must be a list of lists of numbers, not booleans" % what)
     try:
-        return [[float(x) for x in row] for row in value]
+        rows = [[float(x) for x in row] for row in value]
     except (TypeError, ValueError) as exc:
         raise DomainError("%s must be a list of lists of numbers: %s" % (what, exc)) from exc
+    if not all(math.isfinite(x) for row in rows for x in row):
+        raise DomainError("%s must be finite numbers" % what)
+    return rows
 
 
 def dump_json(obj, path=None):

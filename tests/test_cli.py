@@ -148,6 +148,13 @@ def test_depth_atom_coordinates_as_a_string_exit_2(capsys, tmp_path):
     _assert_bad_input(["depth", "--input", str(path)], capsys)
 
 
+def test_depth_boolean_coordinate_exit_2(capsys, tmp_path):
+    # Python counts true as the integer 1, which would read as the atom (1, 0)
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps({"dim": 2, "atoms": [{"x": [True, 0], "w": "1"}]}))
+    _assert_bad_input(["depth", "--input", str(path)], capsys)
+
+
 @pytest.mark.parametrize("dim", [1.7, 1.0, "1", True])
 def test_depth_dim_not_an_integer_exit_2(capsys, tmp_path, dim):
     # each of these used to be read as dim 1
@@ -202,7 +209,12 @@ def test_simplex_from_vertices(capsys, tmp_path):
             assert abs(d - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("vertices", [[[1, 0], ["x", 1], [-1, -1]], 5])
+# json.dumps writes NaN and Infinity, which Python's JSON reader accepts
+@pytest.mark.parametrize(
+    "vertices",
+    [[[1, 0], ["x", 1], [-1, -1]], 5,
+     [[1, 0], [float("nan"), 1], [-1, -1]], [[1, 0], [float("inf"), 1], [-1, -1]]],
+)
 def test_simplex_malformed_vertices_exit_2(capsys, tmp_path, vertices):
     vfile = tmp_path / "verts.json"
     vfile.write_text(json.dumps({"vertices": vertices}))
@@ -308,8 +320,14 @@ def test_transversal_cli_failed_target_exit_1(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "frame",
-    [{"rows": [["a"]]}, {"rows": [[1, 0], [0, 1]], "tolerance": "x"}, {"rows": 5}],
-    ids=["entry", "tolerance", "rows"],
+    [{"rows": [["a"]]}, {"rows": [[1, 0], [0, 1]], "tolerance": "x"}, {"rows": 5},
+     {"rows": [[1, 0], [0, float("nan")]]}, {"rows": [[1, 0], [0, float("inf")]]},
+     # a rank-1 frame: only a finite tolerance catches its Gram defect of 1
+     {"rows": [[1, 0], [1, 0]], "tolerance": float("nan")},
+     {"rows": [[1, 0], [1, 0]], "tolerance": float("inf")},
+     {"rows": [[True, 0], [0, 1]]}],
+    ids=["entry", "tolerance", "rows", "nan entry", "infinite entry",
+         "nan tolerance", "infinite tolerance", "boolean entry"],
 )
 def test_transversal_malformed_frame_exit_2(capsys, tmp_path, frame):
     cloud = write_triangle(tmp_path / "tri.json")

@@ -299,6 +299,17 @@ def test_cloud_validation():
         WeightedPointCloud(2, [])
 
 
+@pytest.mark.parametrize(
+    "rows, tolerance",
+    [([(1, 0), (0, 1)], float("nan")), ([(1, 0), (0, 1)], float("inf")),
+     ([(1, 0), (0, 1)], -1.0), ([(1, 0), (0, float("nan"))], 1e-9),
+     ([(1, 0), (0, float("inf"))], 1e-9)],
+)
+def test_frame_rejects_non_finite_or_negative_input(rows, tolerance):
+    with pytest.raises(DomainError):
+        OrthoFrame(rows, tolerance=tolerance)
+
+
 def test_cloud_serialization_roundtrip():
     t = triangle_cloud()
     assert WeightedPointCloud.from_dict(t.to_dict()) == t
