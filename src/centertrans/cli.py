@@ -27,6 +27,8 @@ from .generators import FAMILIES, generate_cloud
 from .serialize import dump_json, float_rows, frac_str, load_json, parse_frac
 
 CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
+# directions, evenly spaced in angle, of the planar --point profile
+PROFILE_DIRECTIONS = 360
 
 
 def _manifest(subcommand, inputs=(), seed=None, config=None):
@@ -39,10 +41,10 @@ def _manifest(subcommand, inputs=(), seed=None, config=None):
     }
 
 
-def _emit(report, args):
+def _emit(report, path):
     text = dump_json(report)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -83,17 +85,17 @@ def cmd_bounds(args):
             "%d\t%d\t%d\t%s\t%s\n" % (args.m, args.n, n_min, frac_str(rado), frac_str(improved))
         )
     else:
-        _emit(report, args)
+        _emit(report, args.output)
     return 0
 
 
 def _run_named_check(args):
     name = args.check
     if name == "main-obstruction":
-        result = schubert.obstruction_main(args.m or 1, args.n)
+        result = schubert.obstruction_main(args.m, args.n)
         return result, result["ok"]
     if name == "power2free":
-        result = schubert.obstruction_power2free(args.m or 1, args.n)
+        result = schubert.obstruction_power2free(args.m, args.n)
         return result, result["ok"]
     ctx = schubert.GrassmannContext(args.n, args.codim)
     if name == "heights":
@@ -129,7 +131,7 @@ def cmd_schubert(args):
             raise DomainError("--codim is required for the %s check" % args.check)
         result, ok = _run_named_check(args)
         report = {"manifest": _manifest("schubert"), "result": result}
-        _emit(report, args)
+        _emit(report, args.output)
         return 0 if ok else 1
     if args.exponents is None or args.codim is None:
         raise DomainError("need --exponents and --codim (or a named --check)")
@@ -153,7 +155,7 @@ def cmd_schubert(args):
         for a in cls.sorted_support():
             sys.stdout.write(",".join(str(x) for x in a) + "\n")
     else:
-        _emit(report, args)
+        _emit(report, args.output)
     return 0
 
 
@@ -162,6 +164,9 @@ def cmd_depth(args):
     report = {"manifest": _manifest("depth", inputs=[args.input]),
               "dim": cloud.dim, "atoms": len(cloud.atoms)}
     if args.point is not None:
+        if args.tsv_out and cloud.dim != 2:
+            raise DomainError("the --point angle profile (--tsv-out) needs a planar "
+                              "cloud, got dim %d" % cloud.dim)
         x = _parse_point(args.point)
         dv = tukey_depth(cloud, x)
         report["point"] = [frac_str(c) for c in x]
@@ -187,16 +192,16 @@ def cmd_depth(args):
         report["depth_of_measure"] = frac_str(dv.value)
         report["deepest_point"] = [frac_str(c) for c in point]
         report["rado_threshold"] = frac_str(thresholds(cloud.dim)[0])
-    _emit(report, args)
+    _emit(report, args.output)
     return 0
 
 
-def _direction_profile(cloud, x, count=360):
+def _direction_profile(cloud, x):
     import math
 
     rows = []
-    for k in range(count):
-        ang = 2.0 * math.pi * k / count
+    for k in range(PROFILE_DIRECTIONS):
+        ang = 2.0 * math.pi * k / PROFILE_DIRECTIONS
         v = (Fraction(round(math.cos(ang) * 10 ** 6), 10 ** 6),
              Fraction(round(math.sin(ang) * 10 ** 6), 10 ** 6))
         if all(c == 0 for c in v):
@@ -211,7 +216,7 @@ def cmd_center(args):
     rep = center_point(cloud, cloud.dim)
     report = {"manifest": _manifest("center", inputs=[args.input])}
     report.update(rep.to_dict())
-    _emit(report, args)
+    _emit(report, args.output)
     return 0
 
 
@@ -230,7 +235,7 @@ def cmd_simplex(args):
     placement = delta_of_vertices(tup)
     report["vertices"] = [list(v) for v in tup.vertices]
     report["placement"] = placement.to_dict()
-    _emit(report, args)
+    _emit(report, args.output)
     return 0
 
 
@@ -265,7 +270,7 @@ def cmd_transversal(args):
             ("restart", "objective", "success"),
             [(i, obj, int(s)) for i, obj, s in rep.trajectory],
         )
-    _emit(report, args)
+    _emit(report, args.output)
     return 0 if rep.success else 1
 
 
@@ -288,12 +293,7 @@ def cmd_gen(args):
         body = {"manifest": _manifest("gen", seed=args.seed,
                                       config={"family": args.family}),
                 **cloud.to_dict()}
-        text = dump_json(body)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(body, args.out)
     if args.classify:
         label = classify(cloud, cloud.dim) if cloud.dim <= 2 else "n/a"
         sys.stderr.write("classification: %s\n" % label)
@@ -319,7 +319,7 @@ def build_parser():
     p = sub.add_parser("schubert", help="monomial supports and named checks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--codim", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, default=1)
     p.add_argument("--exponents", help="comma-separated e1,...,en for w1^e1...wn^en")
     p.add_argument("--check", choices=CHECKS)
     p.add_argument("--format", choices=("json", "tsv"), default="json")

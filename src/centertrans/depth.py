@@ -41,8 +41,11 @@ from .cloud import WeightedPointCloud, _as_fraction
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
 
-UPPER = "upper"
-LOWER = "lower"
+# the certified upper bound beyond dimension 3: sampled directions, the
+# most atom subsets whose normals it tries, and the seed of both
+_BOUND_SAMPLES = 512
+_BOUND_SUBSET_CAP = 2000
+_BOUND_SEED = 0
 
 
 def thresholds(n):
@@ -70,11 +73,7 @@ class DepthRegion:
     """Convex superlevel set in the plane, in canonical vertex form."""
 
     vertices: tuple
-    tau: Fraction = None
-
-    @property
-    def dim(self):
-        return 2
+    tau: Fraction
 
     @property
     def kind(self):
@@ -99,33 +98,29 @@ class DepthRegion:
     def centroid(self):
         return polygon.centroid(self.vertices)
 
-    def area(self):
-        return abs(polygon.area2(self.vertices)) / 2
-
     def to_dict(self):
-        d = {
+        return {
             "kind": self.kind,
             "vertices": [[frac_str(x), frac_str(y)] for x, y in self.vertices],
+            "tau": frac_str(self.tau),
         }
-        if self.tau is not None:
-            d["tau"] = frac_str(self.tau)
-        return d
 
 
-def halfspace_mass(cloud, v, a, side=UPPER):
-    """Exact weight of the closed half-space {<x, v> >= a} (or <=)."""
+def halfspace_mass(cloud, v, a):
+    """Exact weight of the closed half-space {<x, v> >= a}.
+
+    The mass of {<x, v> <= a} is halfspace_mass(cloud, -v, -a).
+    """
     v = tuple(_as_fraction(c) for c in v)
     if len(v) != cloud.dim:
         raise DomainError("direction dimension mismatch")
     if all(c == 0 for c in v):
         raise DomainError("direction must be nonzero")
-    if side not in (UPPER, LOWER):
-        raise DomainError("side must be 'upper' or 'lower'")
     a = _as_fraction(a)
     total = Fraction(0)
     for p, w in cloud.atoms:
         s = sum(pc * vc for pc, vc in zip(p, v))
-        if (side == UPPER and s >= a) or (side == LOWER and s <= a):
+        if s >= a:
             total += w
     return total
 
@@ -346,7 +341,7 @@ def _sample_directions(dim, samples, seed):
     return tuple(out)
 
 
-def _depth_upper_bound(cloud, x, samples=512, subset_cap=2000, seed=0):
+def _depth_upper_bound(cloud, x):
     """Certified upper bound for dim > 3: min mass over candidate normals."""
     import numpy as np
 
@@ -356,10 +351,10 @@ def _depth_upper_bound(cloud, x, samples=512, subset_cap=2000, seed=0):
     dim = cloud.dim
     us = [u for u, _ in offsets]
     candidates = []
-    if math.comb(len(us), dim - 1) > subset_cap:
-        rng = np.random.default_rng(seed)
+    if math.comb(len(us), dim - 1) > _BOUND_SUBSET_CAP:
+        rng = np.random.default_rng(_BOUND_SEED)
         seen = set()
-        while len(seen) < subset_cap:
+        while len(seen) < _BOUND_SUBSET_CAP:
             pick = tuple(sorted(rng.choice(len(us), size=dim - 1, replace=False)))
             seen.add(pick)
         subsets = sorted(seen)
@@ -370,7 +365,7 @@ def _depth_upper_bound(cloud, x, samples=512, subset_cap=2000, seed=0):
         if v is not None:
             candidates.append(v)
             candidates.append(tuple(-c for c in v))
-    candidates.extend(_sample_directions(dim, samples, seed + 1))
+    candidates.extend(_sample_directions(dim, _BOUND_SAMPLES, _BOUND_SEED + 1))
     best = None
     for v in candidates:
         val = at_x + sum(wt for u, wt in offsets if _dot(u, v) >= 0)
@@ -714,11 +709,11 @@ def _interval_1d(cloud, level=None):
     return level, (lo, hi)
 
 
-def depth_of_measure(cloud, allow_approximate=False, seed=0):
+def depth_of_measure(cloud, allow_approximate=False):
     """(max point depth, a maximizing point); exact for dim <= 2.
 
-    Higher dimensions use seeded heuristic ascent and must be requested
-    explicitly via allow_approximate.
+    Higher dimensions use the heuristic ascent with seed 0 and must be
+    requested explicitly via allow_approximate.
     """
     if cloud.dim == 1:
         level, (lo, hi) = _interval_1d(cloud)
@@ -737,7 +732,7 @@ def depth_of_measure(cloud, allow_approximate=False, seed=0):
         float(max(p[i] for p in pts) - min(p[i] for p in pts)) for i in range(cloud.dim)
     )
     point, depth = _ascent(
-        [cloud], _mean(cloud), spread / 2 if spread else 1.0, 200, 0.9, 10 ** 9, seed
+        [cloud], _mean(cloud), spread / 2 if spread else 1.0, 200, 0.9, 10 ** 9, 0
     )
     return DepthValue(depth.value, depth.witness_direction, exact=False), point
 
@@ -774,38 +769,6 @@ def _ascent(clouds, start, radius, steps, shrink, max_denominator, seed):
         else:
             radius *= shrink
     return tuple(x), cur
-
-
-def depth_of_measure_by_candidates(cloud):
-    """Planar depth of a measure by direct candidate enumeration.
-
-    Evaluates the exact depth at every atom and every intersection point
-    of lines through atom pairs (the depth is piecewise constant on that
-    arrangement and upper semicontinuous, so the maximum is attained
-    there).  Quartic in the atom count; used to cross-validate the level
-    search on small clouds.
-    """
-    if cloud.dim != 2:
-        raise DomainError("candidate enumeration requires a planar cloud")
-    pts = sorted(set(cloud.points()))
-    candidates = set(pts)
-    lines = []
-    for a, b in combinations(pts, 2):
-        d = (b[0] - a[0], b[1] - a[1])
-        # line as (nx, ny, c): nx*x + ny*y = c
-        lines.append((-d[1], d[0], -d[1] * a[0] + d[0] * a[1]))
-    for (n1x, n1y, c1), (n2x, n2y, c2) in combinations(lines, 2):
-        det = n1x * n2y - n1y * n2x
-        if det == 0:
-            continue
-        candidates.add(((c1 * n2y - c2 * n1y) / det, (n1x * c2 - n2x * c1) / det))
-    best_val = None
-    best_pt = None
-    for cand in sorted(candidates):
-        val = tukey_depth(cloud, cand).value
-        if best_val is None or val > best_val:
-            best_val, best_pt = val, cand
-    return DepthValue(best_val, None), best_pt
 
 
 def marginal(cloud, frame, digits=None):

@@ -113,7 +113,8 @@ def generate_cloud(
         ws = _weights(rng, atoms, weight_mode)
         return WeightedPointCloud(dim, list(zip(pts, ws)))
     if family == "coplanar":
-        ambient = ambient or max(3, dim)
+        if ambient is None:
+            ambient = max(3, dim)
         if ambient < 2:
             raise DomainError("coplanar needs ambient >= 2")
         sample = rng.standard_normal((atoms, 2))
@@ -136,7 +137,7 @@ def generate_cloud(
                 (_quantize(cx + jx, denominator), _quantize(cy + jy, denominator))
             )
     w = Fraction(1, 3 * per)
-    target_dim = ambient or dim
+    target_dim = dim if ambient is None else ambient
     if target_dim > 2:
         pts = _embed(pts2, target_dim, rng, rotate)
     else:

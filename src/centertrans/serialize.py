@@ -40,9 +40,9 @@ def parse_frac(s):
         raise DomainError("bad rational literal %r" % (s,)) from exc
 
 
-def float_list(vec, digits=15):
+def float_list(vec):
     """Decimal rendering for real-valued vectors (15 significant digits)."""
-    return [float(("%." + str(digits) + "g") % float(x)) for x in vec]
+    return [float("%.15g" % float(x)) for x in vec]
 
 
 def float_rows(value, what):
@@ -64,13 +64,9 @@ def float_rows(value, what):
     return rows
 
 
-def dump_json(obj, path=None):
-    """Serialize deterministically; return the text, optionally writing it."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+def dump_json(obj):
+    """Serialize deterministically: sorted keys, indent 2, final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def load_json(path):

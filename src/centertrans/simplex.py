@@ -207,14 +207,14 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
     return np.diag(a) * scale, q
 
 
-def polar_decompose(map_a, tol=1e-12):
+def polar_decompose(map_a):
     """A = S R with S = sqrt(A A^T) symmetric positive definite, R orthogonal."""
     a = np.asarray(map_a, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n):
         raise DomainError("map must be square")
     gram = a @ a.T
-    w, q = jacobi_eigh(gram, tol=tol)
+    w, q = jacobi_eigh(gram)
     w_max = float(np.max(w))
     if w_max <= 0 or float(np.min(w)) <= 1e-13 * w_max:
         raise DegeneracyError("map is singular; polar decomposition undefined")
@@ -241,7 +241,7 @@ def delta_of_vertices(vertex_tuple):
     )
 
 
-def witness_vertices(cloud, force=False, _max_offsets=None):
+def witness_vertices(cloud, force=False):
     """Sector-barycenter vertex tuple for a measure of insufficient depth.
 
     This is a labeled surrogate, not a construction from the literature:
@@ -267,8 +267,7 @@ def witness_vertices(cloud, force=False, _max_offsets=None):
     ws = np.array([float(w) for w in cloud.weights()])
     nonzero = np.linalg.norm(pts, axis=1) > 1e-14
     count = n + 1
-    offsets = count if _max_offsets is None else _max_offsets
-    for j in range(offsets):
+    for j in range(count):
         anchor = (2.0 * math.pi / count) * j / count
         if n == 1:
             sectors = (pts[:, 0] < 0).astype(int)

@@ -25,7 +25,7 @@ report is flagged approximate.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -175,9 +175,13 @@ def _check_clouds(frame, clouds):
         raise DomainError("frame ambient does not match the clouds")
 
 
-def verify(frame, clouds, n, target=None, restart_index=None, config=None,
-           trajectory=()):
-    """Exact re-evaluation of a frame: depths, c-points, consensus spread."""
+def verify(frame, clouds, n, target=None):
+    """Exact re-evaluation of a frame: depths, c-points, consensus spread.
+
+    The report carries no search record: restart_index and config are
+    None and the trajectory is empty.  The target defaults to the
+    improved bound.
+    """
     _check_clouds(frame, clouds)
     if frame.n != n:
         raise DomainError("frame has %d rows, expected n = %d" % (frame.n, n))
@@ -209,9 +213,6 @@ def verify(frame, clouds, n, target=None, restart_index=None, config=None,
         target=target,
         failing_measures=failing,
         exact=exact,
-        restart_index=restart_index,
-        config=config,
-        trajectory=tuple(trajectory),
     )
 
 
@@ -264,7 +265,9 @@ def search(clouds, n, config=None):
     """Random-restart hill climbing over frames; exact acceptance tests.
 
     Restarts run in index order until one reaches the target; that one is
-    reported, or else the best objective with the lowest index.
+    reported, or else the best objective with the lowest index.  The
+    report is verify's for that restart's frame, with the restart index,
+    the config and the trajectory of every restart run added.
     """
     _check_clouds(None, clouds)
     if config is None:
@@ -293,12 +296,6 @@ def search(clouds, n, config=None):
             best = res
         if res.success:
             break
-    return verify(
-        best.frame,
-        clouds,
-        n,
-        target=target,
-        restart_index=best.index,
-        config=config,
-        trajectory=trajectory,
-    )
+    report = verify(best.frame, clouds, n, target=target)
+    return replace(report, restart_index=best.index, config=config,
+                   trajectory=tuple(trajectory))

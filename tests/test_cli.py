@@ -97,6 +97,13 @@ def test_schubert_exponents_not_integers_exit_2(capsys):
     _assert_bad_input(["schubert", "--n", "2", "--codim", "5", "--exponents", "a,b"], capsys)
 
 
+@pytest.mark.parametrize("check", ["main-obstruction", "power2free"])
+def test_schubert_m_defaults_to_1_and_zero_exit_2(capsys, check):
+    code, out, _ = run_cli(["schubert", "--n", "2", "--check", check], capsys)
+    assert code == 0 and json.loads(out)["result"]["m"] == 1
+    _assert_bad_input(["schubert", "--n", "2", "--m", "0", "--check", check], capsys)
+
+
 def test_depth_point_fixture(capsys, tmp_path):
     cloud = write_triangle(tmp_path / "tri.json")
     code, out, _ = run_cli(
@@ -119,6 +126,29 @@ def test_depth_point_negative_coordinates(capsys, tmp_path):
     assert body["depth"] == "0/1"
     _, spelled, _ = run_cli(["depth", "--input", cloud, "--point=-1/2,3/4"], capsys)
     assert spelled == out
+
+
+def test_depth_point_profile_needs_planar_cloud(capsys, tmp_path):
+    profile = tmp_path / "profile.tsv"
+    tri = write_triangle(tmp_path / "tri.json")
+    code, _, _ = run_cli(
+        ["depth", "--input", tri, "--point", "1/3,1/3", "--tsv-out", str(profile)], capsys
+    )
+    lines = profile.read_text().splitlines()
+    assert code == 0 and lines[0] == "angle\tmass" and len(lines) == 361
+    profile.unlink()
+    cloud = tmp_path / "tetra.json"
+    code, _, _ = run_cli(
+        ["gen", "--family", "simplex-atoms", "--dim", "3", "--out", str(cloud)], capsys
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        ["depth", "--input", str(cloud), "--point", "1/4,1/4,1/4", "--tsv-out", str(profile)],
+        capsys,
+    )
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "error: the --point angle profile (--tsv-out) needs a planar cloud" in err
+    assert not profile.exists()
 
 
 def _assert_bad_input(args, capsys):
@@ -276,6 +306,11 @@ def test_gen_unknown_family_exit_2(capsys):
 @pytest.mark.parametrize("option", ["--atoms", "--denominator"])
 def test_gen_zero_count_exit_2(capsys, option):
     _assert_bad_input(["gen", "--family", "gaussian-quantized", option, "0"], capsys)
+
+
+@pytest.mark.parametrize("family", ["coplanar", "adversarial-three-cluster"])
+def test_gen_zero_ambient_exit_2(capsys, family):
+    _assert_bad_input(["gen", "--family", family, "--ambient", "0", "--atoms", "4"], capsys)
 
 
 def test_transversal_cli_success_and_rerun_identical(capsys, tmp_path):
