@@ -12,7 +12,9 @@ sufficient branch, where the region is achieved and full rank.
 
 The depth of the measure and its region come from one level search in
 ``depth`` (the prefix/suffix interval on the line); only the sufficient
-case builds a second region, at the bound.
+case builds a second region, at the bound.  Both come back as raw clip
+loops, and the report's DepthRegion puts the one it keeps in canonical
+form.
 """
 
 from dataclasses import dataclass

@@ -59,8 +59,12 @@ def _write_tsv(path, header, rows):
 
 def _load_cloud(path):
     if path.endswith(".tsv"):
-        with open(path) as fh:
-            return WeightedPointCloud.from_tsv(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise DomainError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+        return WeightedPointCloud.from_tsv(text)
     return WeightedPointCloud.from_dict(load_json(path))
 
 

@@ -149,13 +149,10 @@ class WeightedPointCloud:
         return cls(dim, atoms)
 
 
-def apply_affine(cloud, matrix=None, shift=None):
+def apply_affine(cloud, matrix, shift=None):
     """New cloud with atoms p -> M p + b (exact rational arithmetic)."""
     d = cloud.dim
-    if matrix is None:
-        rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    else:
-        rows = [[_as_fraction(x) for x in row] for row in matrix]
+    rows = [[_as_fraction(x) for x in row] for row in matrix]
     out_dim = len(rows)
     b = [Fraction(0)] * out_dim if shift is None else [_as_fraction(x) for x in shift]
     atoms = []

@@ -26,6 +26,11 @@ the meet of two input lines, and vertices become Fractions only in the
 output.  ``polygon.clip_many`` is the Fraction reference it is tested
 against, and the per-direction table the sweep replaced is kept in the
 tests as the reference for its levels and regions.
+
+The clip yields an ordered convex loop that may repeat a vertex or keep
+collinear ones.  The level search tests it for emptiness and exact
+centroids do not depend on such vertices, so only DepthRegion, which
+every reported region passes through, puts it in canonical form.
 """
 
 import math
@@ -70,10 +75,18 @@ class DepthValue:
 
 @dataclass(frozen=True)
 class DepthRegion:
-    """Convex superlevel set in the plane, in canonical vertex form."""
+    """Convex superlevel set in the plane, in canonical vertex form.
+
+    vertices may be any ordered convex loop (duplicate and collinear
+    vertices allowed); the constructor stores its canonical form, on
+    which locate, kind and to_dict rely.
+    """
 
     vertices: tuple
     tau: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", polygon.normalize(self.vertices))
 
     @property
     def kind(self):
@@ -617,13 +630,16 @@ def _meet(p, a, b, c):
     return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
-def _region_vertices(clouds, tau, canonical=True):
+def _region_vertices(clouds, tau):
     """Intersection of the clouds' superlevel regions at tau, by one clip.
 
     The axis halfplanes keep every region inside its atoms' bounding box,
     so the first cloud's start box contains the intersection.  All lines
     are rescaled to the common scale of the clouds' coordinates and
-    clipped in exact integers; vertices become Fractions only here.
+    clipped in exact integers; vertices become Fractions only here.  The
+    result is the clip's ordered convex loop, () when empty; it may
+    repeat a vertex or keep collinear ones, so only DepthRegion puts it
+    in canonical form.
     """
     tau = _as_fraction(tau)
     tables = [_direction_table(c) for c in clouds]
@@ -641,11 +657,10 @@ def _region_vertices(clouds, tau, canonical=True):
         (hi_x, hi_y, 1, 0, 1, hi_y),
         (lo_x, hi_y, 1, -1, 0, -lo_x),
     )
-    loop = [
+    return tuple(
         (Fraction(x, w * scale), Fraction(y, w * scale))
         for x, y, w, _, _, _ in _clip_homogeneous(box, planes)
-    ]
-    return polygon.normalize(loop) if canonical else tuple(loop)
+    )
 
 
 def depth_region(cloud, tau):
@@ -659,32 +674,35 @@ def depth_region(cloud, tau):
 
 
 def _deepest_common_region(clouds):
-    """(largest level whose regions all meet, their canonical intersection).
+    """(largest level whose regions all meet, their intersection there).
 
     Binary search over the union of the clouds' levels, top level first;
     nonemptiness is monotone in the level, so the probe order does not
-    change the answer.  (0, ()) when even the lowest level fails.
+    change the answer.  The intersection is the raw loop of
+    _region_vertices: the search compares levels only, and a caller that
+    reports the region wraps it in a DepthRegion.  (0, ()) when even the
+    lowest level fails.
     """
     levels = sorted(
         {Fraction(lv, t.weight_den) for t in map(_direction_table, clouds) for lv in t.levels}
     )
     hi = len(levels) - 1
-    best = _region_vertices(clouds, levels[hi], canonical=False)
+    best = _region_vertices(clouds, levels[hi])
     if best:
-        return levels[hi], polygon.normalize(best)
+        return levels[hi], best
     # levels[hi] fails and levels[lo] meets (lo = -1: none yet); rounding
     # mid up probes the lowest level only when every level above it failed
     lo = -1
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2
-        loop = _region_vertices(clouds, levels[mid], canonical=False)
+        loop = _region_vertices(clouds, levels[mid])
         if loop:
             lo, best = mid, loop
         else:
             hi = mid
     if lo < 0:
         return Fraction(0), ()
-    return levels[lo], polygon.normalize(best)
+    return levels[lo], best
 
 
 def _interval_1d(cloud, level=None):
@@ -719,10 +737,10 @@ def depth_of_measure(cloud, allow_approximate=False):
         level, (lo, hi) = _interval_1d(cloud)
         return DepthValue(level, None), ((lo + hi) / 2,)
     if cloud.dim == 2:
-        level, region = _deepest_common_region([cloud])
-        if not region:
+        level, loop = _deepest_common_region([cloud])
+        if not loop:
             raise InternalConsistencyError("achieved depth level has empty region")
-        return DepthValue(level, None), polygon.centroid(region)
+        return DepthValue(level, None), polygon.centroid(loop)
     if not allow_approximate:
         raise DomainError(
             "exact depth of a measure is only available in dimensions 1 and 2"

@@ -87,6 +87,8 @@ def generate_cloud(
         raise DomainError("unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES)))
     if atoms < 1 or denominator < 1:
         raise DomainError("atoms (%r) and denominator (%r) must be >= 1" % (atoms, denominator))
+    if ambient is not None and family in ("simplex-atoms", "uniform-ball", "gaussian-quantized"):
+        raise DomainError("%s takes no ambient; its dimension is dim" % family)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -123,6 +125,9 @@ def generate_cloud(
         ws = _weights(rng, atoms, weight_mode)
         return WeightedPointCloud(ambient, list(zip(pts, ws)))
     # adversarial-three-cluster: three tight clusters, total weight 1/3 each
+    target_dim = dim if ambient is None else ambient
+    if target_dim < 2:
+        raise DomainError("adversarial-three-cluster needs ambient >= 2 (ambient defaults to dim)")
     per = max(1, atoms // 3)
     centers = [
         (math.cos(math.pi / 2), math.sin(math.pi / 2)),
@@ -137,7 +142,6 @@ def generate_cloud(
                 (_quantize(cx + jx, denominator), _quantize(cy + jy, denominator))
             )
     w = Fraction(1, 3 * per)
-    target_dim = dim if ambient is None else ambient
     if target_dim > 2:
         pts = _embed(pts2, target_dim, rng, rotate)
     else:

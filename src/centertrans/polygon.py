@@ -1,14 +1,19 @@
 """Exact convex polygon primitives over rational coordinates.
 
-Polygons are vertex tuples in canonical form: [] empty, [p] a point,
-[p, q] a segment with p < q lexicographically, and for full rank a
-strictly convex counterclockwise loop starting at the lexicographically
-smallest vertex.  Halfplanes are (vx, vy, c) meaning vx*x + vy*y <= c.
-Everything here is exact; emptiness tests downstream rely on it.
+Polygons are vertex tuples.  A clip yields an ordered convex loop, which
+may repeat a vertex or keep collinear ones; ``normalize`` turns such a
+loop into canonical form: [] empty, [p] a point, [p, q] a segment with
+p < q lexicographically, and for full rank a strictly convex
+counterclockwise loop starting at the lexicographically smallest vertex.
+``centroid`` accepts either form and gives the same exact point.
+Halfplanes are (vx, vy, c) meaning vx*x + vy*y <= c.  Everything here is
+exact; emptiness tests downstream rely on it.
 
 Depth regions are clipped by the homogeneous integer kernel in
-``depth``; ``clip``, ``clip_many`` and ``intersect`` are the Fraction
-references the tests compare it to.
+``depth``, and ``depth.DepthRegion`` is the one place in the package
+that puts them in canonical form.  ``clip``, ``clip_many`` and
+``intersect`` are the Fraction references the tests compare the kernel
+to.
 """
 
 from fractions import Fraction
@@ -95,13 +100,14 @@ def clip(vertices, vx, vy, c):
     return tuple(out)
 
 
-def clip_many(vertices, halfplanes, canonical=True):
+def clip_many(vertices, halfplanes):
+    """Clip a convex loop by every halfplane in turn; an ordered loop, like clip."""
     poly = tuple(vertices)
     for vx, vy, c in halfplanes:
         poly = clip(poly, vx, vy, c)
         if not poly:
             return ()
-    return normalize(poly) if canonical else poly
+    return poly
 
 
 def centroid(vertices):
@@ -213,13 +219,11 @@ def intersect(p_vertices, q_vertices):
     q = tuple(q_vertices)
     if not p or not q:
         return ()
-    if len(p) >= 3 and len(q) >= 3:
-        return clip_many(p, edge_halfplanes(q))
-    # make p the lower-rank region
+    # p gets the fewer vertices: a point or segment is always p
     if len(p) > len(q):
         p, q = q, p
     if len(p) == 1:
         return p if contains_point(q, p[0]) else ()
     if len(q) == 2:
         return normalize(_segment_intersection(p[0], p[1], q[0], q[1]))
-    return normalize(clip_many(p, edge_halfplanes(q), canonical=False))
+    return normalize(clip_many(p, edge_halfplanes(q)))

@@ -70,11 +70,16 @@ def dump_json(obj):
 
 
 def load_json(path):
-    """The JSON object stored at path; every input file holds one."""
-    with open(path) as fh:
+    """The JSON object stored at path; every input file holds one.
+
+    Besides malformed JSON, the decoder raises ValueError on bytes that
+    are not UTF-8 and on integers past Python's digit limit, and
+    RecursionError on deeply nested arrays: all of them are bad input.
+    """
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DomainError("%s is not valid JSON: %s" % (path, exc)) from exc
     if not isinstance(data, dict):
         raise DomainError("%s must hold a JSON object, not %s" % (path, type(data).__name__))

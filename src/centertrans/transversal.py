@@ -129,10 +129,10 @@ def _common_level(marginals):
     intersection; (0, mean of the first marginal) when even the lowest
     level fails, as it does for marginals with disjoint hulls.
     """
-    level, region = _deepest_common_region(marginals)
-    if not region:
+    level, loop = _deepest_common_region(marginals)
+    if not loop:
         return Fraction(0), _mean(marginals[0])
-    return level, polygon.centroid(region)
+    return level, polygon.centroid(loop)
 
 
 def _objective_parts(frame, clouds, n):

@@ -108,4 +108,4 @@ def reference_region(clouds, tau):
         planes.extend((vx, vy, Fraction(c, scale)) for vx, vy, c in hp)
     lo_x, lo_y, hi_x, hi_y = (Fraction(v, scale) for v in tables[0].start_box(scale))
     box = ((lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y))
-    return polygon.clip_many(box, planes)
+    return polygon.normalize(polygon.clip_many(box, planes))

@@ -157,6 +157,7 @@ def _assert_bad_input(args, capsys):
     assert out == ""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "Traceback" not in err
+    return errors[0]
 
 
 def test_depth_malformed_json_exit_2(capsys, tmp_path):
@@ -308,9 +309,38 @@ def test_gen_zero_count_exit_2(capsys, option):
     _assert_bad_input(["gen", "--family", "gaussian-quantized", option, "0"], capsys)
 
 
-@pytest.mark.parametrize("family", ["coplanar", "adversarial-three-cluster"])
-def test_gen_zero_ambient_exit_2(capsys, family):
-    _assert_bad_input(["gen", "--family", family, "--ambient", "0", "--atoms", "4"], capsys)
+@pytest.mark.parametrize(
+    "family, ambient",
+    [
+        ("coplanar", "0"),
+        ("adversarial-three-cluster", "0"),
+        ("adversarial-three-cluster", "1"),
+        # these families have no ambient apart from --dim
+        ("gaussian-quantized", "5"),
+        ("uniform-ball", "5"),
+        ("simplex-atoms", "5"),
+    ],
+    ids=[
+        "coplanar",
+        "adversarial-three-cluster",
+        "adversarial-three-cluster-1",
+        "gaussian-quantized",
+        "uniform-ball",
+        "simplex-atoms",
+    ],
+)
+def test_gen_zero_ambient_exit_2(capsys, family, ambient):
+    error = _assert_bad_input(
+        ["gen", "--family", family, "--ambient", ambient, "--atoms", "4"], capsys
+    )
+    assert "ambient" in error
+
+
+def test_gen_planar_family_dim_1_exit_2(capsys):
+    error = _assert_bad_input(
+        ["gen", "--family", "adversarial-three-cluster", "--dim", "1", "--atoms", "4"], capsys
+    )
+    assert "ambient >= 2" in error
 
 
 def test_transversal_cli_success_and_rerun_identical(capsys, tmp_path):
@@ -385,6 +415,33 @@ def test_transversal_n_must_fit_the_input(capsys, tmp_path):
 def test_json_top_level_not_an_object_exit_2(capsys, tmp_path, option, body):
     path = tmp_path / "top.json"
     path.write_text(json.dumps(body))
+    cloud = write_triangle(tmp_path / "tri.json")
+    args = {
+        "--input": ["depth", "--input", str(path)],
+        "--frame": ["transversal", "--input", cloud, "--frame", str(path)],
+        "--vertices": ["simplex", "--vertices", str(path)],
+    }[option]
+    _assert_bad_input(args, capsys)
+
+
+UNDECODABLE = {
+    "not-utf8.json": b'{"dim": 2, "atoms": [\xff]}',
+    "nested.json": b"[" * 100000 + b"]" * 100000,
+    # past Python's 4300-digit limit on integer strings
+    "long-number.json": b"1" * 5000,
+    "not-utf8.tsv": b"x1\tx2\tweight\n\xff\t0\t1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "option, name",
+    [(option, name) for name in UNDECODABLE if name.endswith(".json")
+     for option in ("--input", "--frame", "--vertices")]
+    + [("--input", "not-utf8.tsv")],
+)
+def test_undecodable_input_file_exit_2(capsys, tmp_path, option, name):
+    path = tmp_path / name
+    path.write_bytes(UNDECODABLE[name])
     cloud = write_triangle(tmp_path / "tri.json")
     args = {
         "--input": ["depth", "--input", str(path)],

@@ -16,8 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centertrans import polygon
 from centertrans.cloud import WeightedPointCloud
 from centertrans.depth import (
+    DepthRegion,
     _angle_sorted,
     _direction_table,
     _region_vertices,
@@ -50,7 +52,14 @@ def assert_matches_reference(clouds):
         assert sorted(table.directions) == ref.directions
         assert table.levels == ref.levels
     for tau in probe_levels(clouds):
-        assert _region_vertices(clouds, tau) == reference_region(clouds, tau), tau
+        raw = _region_vertices(clouds, tau)
+        canonical = polygon.normalize(raw)
+        assert canonical == reference_region(clouds, tau), tau
+        # only DepthRegion canonicalizes: it must, and exact centroids
+        # must not see the repeated or collinear vertices of the raw loop
+        assert DepthRegion(raw, tau).vertices == canonical
+        if raw:
+            assert polygon.centroid(raw) == polygon.centroid(canonical)
 
 
 BIG = 10 ** 20
@@ -97,7 +106,10 @@ def test_seeded_joint_regions_match_reference():
     for _ in range(15):
         clouds = [grid_cloud(rng, int(rng.integers(1, 8))) for _ in range(int(rng.integers(2, 4)))]
         assert_matches_reference(clouds)
-        kinds.update(min(len(_region_vertices(clouds, t)), 3) for t in reference_levels(clouds))
+        kinds.update(
+            min(len(polygon.normalize(_region_vertices(clouds, t))), 3)
+            for t in reference_levels(clouds)
+        )
     assert kinds == {0, 1, 2, 3}
 
 

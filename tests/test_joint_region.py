@@ -4,8 +4,9 @@ The kernel clips one box against every cloud's run-end halfplanes at
 once, in homogeneous integers.  One oracle clips every direction's
 halfplane of the per-direction reference table as Fractions with
 polygon.clip_many; the other builds one region per cloud and folds them
-together with polygon.intersect.  Canonical vertex form is unique, so
-all of them must agree tuple for tuple.
+together with polygon.intersect.  The kernel returns a raw clip loop;
+in canonical vertex form, which is unique, all of them must agree tuple
+for tuple.
 """
 
 from fractions import Fraction
@@ -67,10 +68,20 @@ def quantized_marginal(rng, n_atoms):
     return marginal(c, OrthoFrame(q.T.tolist()))
 
 
+def joint_region(clouds, tau):
+    """The kernel's region at tau, in canonical form."""
+    return polygon.normalize(_region_vertices(clouds, tau))
+
+
+def deepest(clouds):
+    """The shared level search, with its region in canonical form."""
+    level, loop = _deepest_common_region(clouds)
+    return level, polygon.normalize(loop)
+
+
 def assert_kernel_matches_oracle(clouds, tau):
-    joint = _region_vertices(clouds, tau)
+    joint = joint_region(clouds, tau)
     assert joint == reference_region(clouds, tau), tau
-    assert polygon.normalize(_region_vertices(clouds, tau, canonical=False)) == joint
     return joint
 
 
@@ -120,10 +131,10 @@ DEGENERATE = [
 
 @pytest.mark.parametrize("clouds, tau, kind", DEGENERATE)
 def test_degenerate_intersections_match_fold(clouds, tau, kind):
-    joint = _region_vertices(clouds, tau)
+    joint = joint_region(clouds, tau)
     assert joint == folded(clouds, tau)
     assert len(joint) == {"segment": 2, "point": 1}[kind]
-    assert _deepest_common_region(clouds) == brute_deepest(clouds)
+    assert deepest(clouds) == brute_deepest(clouds)
 
 
 @pytest.mark.parametrize("size", [2, 3])
@@ -133,12 +144,10 @@ def test_seeded_intersections_match_fold(size):
     for _ in range(12):
         clouds = [random_cloud(rng, int(rng.integers(3, 8))) for _ in range(size)]
         for tau in union_levels(clouds):
-            joint = _region_vertices(clouds, tau)
+            joint = joint_region(clouds, tau)
             assert joint == folded(clouds, tau), tau
-            raw = _region_vertices(clouds, tau, canonical=False)
-            assert polygon.normalize(raw) == joint
             kinds.add(len(joint))
-        assert _deepest_common_region(clouds) == brute_deepest(clouds)
+        assert deepest(clouds) == brute_deepest(clouds)
     # empty, degenerate (point or segment) and full-rank intersections occur
     assert 0 in kinds and kinds & {1, 2} and max(kinds) >= 3
 
@@ -147,11 +156,11 @@ def test_single_cloud_region_is_the_depth_region():
     rng = np.random.default_rng(5)
     for _ in range(6):
         c = random_cloud(rng, int(rng.integers(1, 9)))
-        level, verts = _deepest_common_region([c])
+        level, loop = _deepest_common_region([c])
         dv, point = depth_of_measure(c)
         assert level == dv.value
-        assert verts == depth_region(c, level).vertices
-        assert point == polygon.centroid(verts)
+        assert polygon.normalize(loop) == depth_region(c, level).vertices
+        assert point == polygon.centroid(loop) == depth_region(c, level).centroid()
 
 
 def test_disjoint_hulls_fall_back_to_the_first_mean():
