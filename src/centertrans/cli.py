@@ -24,7 +24,7 @@ from .depth import (
 )
 from .errors import DomainError
 from .generators import FAMILIES, generate_cloud
-from .serialize import dump_json, float_rows, frac_str, load_json, parse_frac
+from .serialize import dump_json, float_rows, frac_str, json_field, load_json, parse_frac
 
 CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
 # directions, evenly spaced in angle, of the planar --point profile
@@ -208,8 +208,6 @@ def _direction_profile(cloud, x):
         ang = 2.0 * math.pi * k / PROFILE_DIRECTIONS
         v = (Fraction(round(math.cos(ang) * 10 ** 6), 10 ** 6),
              Fraction(round(math.sin(ang) * 10 ** 6), 10 ** 6))
-        if all(c == 0 for c in v):
-            continue
         level = sum(c * vc for c, vc in zip(x, v))
         rows.append(("%.6f" % ang, frac_str(halfspace_mass(cloud, v, level))))
     return rows
@@ -230,7 +228,8 @@ def cmd_simplex(args):
     report = {"manifest": _manifest("simplex",
                                     inputs=[p for p in (args.input, args.vertices) if p])}
     if args.vertices:
-        tup = VertexTuple.of(float_rows(load_json(args.vertices)["vertices"], "vertices"))
+        vertices = json_field(load_json(args.vertices), "vertices", args.vertices)
+        tup = VertexTuple.of(float_rows(vertices, "vertices"))
         report["vertex_source"] = "file"
     else:
         cloud = _load_cloud(args.input)
@@ -400,7 +399,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         code = args.func(args)
-    except (DomainError, OSError, KeyError) as exc:
+    except (DomainError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     finally:

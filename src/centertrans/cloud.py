@@ -3,16 +3,15 @@
 A cloud is a finite list of atoms with exact positive rational weights
 summing to one.  All depth computations downstream are exact, which
 relies on the invariants enforced here.  Frames carry real-valued rows;
-they are quantized to rationals (12 decimal digits by default) at the
-moment a marginal is formed, so numerically produced subspaces still
-feed exact arithmetic.
+they are quantized to rationals (12 decimal digits) when a frame is
+built, so numerically produced subspaces still feed exact arithmetic.
 """
 
 import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .serialize import float_rows, frac_str, parse_frac
+from .serialize import float_rows, frac_str, json_field, parse_frac
 
 FRAME_QUANTIZE_DIGITS = 12
 
@@ -27,16 +26,24 @@ def _as_fraction(x):
     return Fraction(x)
 
 
+def _over_lcm(rows):
+    """(c, rows of the integers x * c), c the lcm of the denominators."""
+    c = math.lcm(*(x.denominator for row in rows for x in row))
+    return c, tuple(tuple(x.numerator * (c // x.denominator) for x in row) for row in rows)
+
+
 class WeightedPointCloud:
     """Atomic probability measure with exact rational data.
 
-    Treated as immutable after construction; all operations return new
-    clouds.  Integer rescalings of the weights and coordinates are cached
-    lazily because the exact depth routines work on integers, and so is
-    the angular sweep that ``depth`` records for planar region queries
-    (``_direction_table``, derived from the atoms alone: the directions
-    in angular order, the blocks of collinear atoms that reverse at
-    each, and the levels).
+    Immutable after construction.  ``__init__`` makes the integer forms the
+    exact routines use: ``int_weights`` = (D, weights * D), ``int_points`` =
+    (C, points * C), D and C the lcms of their denominators.  The one lazy
+    cache is the angular sweep ``depth`` records for planar region queries
+    (``_direction_table``: the directions in angular order, the blocks of
+    collinear atoms that reverse at each, the levels).  ``transversal.verify``
+    reuses each marginal's table from the common-level search in
+    ``center_point``; two more builds would add about 13% (0.75 ms each on
+    a criterion-9 marginal against 11.2 ms for a whole ``verify``).
     """
 
     def __init__(self, dim, atoms):
@@ -59,8 +66,9 @@ class WeightedPointCloud:
             raise DomainError("weights must sum to 1 exactly, got %s" % (total,))
         self.dim = dim
         self.atoms = tuple(packed)
-        self._int_weights = None
-        self._int_points = None
+        d, (ws,) = _over_lcm([self.weights()])
+        self.int_weights = (d, ws)
+        self.int_points = _over_lcm(self.points())
         self._direction_table = None
 
     def __len__(self):
@@ -75,24 +83,6 @@ class WeightedPointCloud:
 
     def __repr__(self):
         return "WeightedPointCloud(dim=%d, atoms=%d)" % (self.dim, len(self.atoms))
-
-    @property
-    def int_weights(self):
-        """(D, weights) with integer weights over the common denominator D."""
-        if self._int_weights is None:
-            d = math.lcm(*(w.denominator for _, w in self.atoms))
-            ws = tuple(int(w * d) for _, w in self.atoms)
-            self._int_weights = (d, ws)
-        return self._int_weights
-
-    @property
-    def int_points(self):
-        """(C, points) with integer coordinates scaled by the common C."""
-        if self._int_points is None:
-            c = math.lcm(*(x.denominator for p, _ in self.atoms for x in p))
-            pts = tuple(tuple(int(x * c) for x in p) for p, _ in self.atoms)
-            self._int_points = (c, pts)
-        return self._int_points
 
     def points(self):
         return [p for p, _ in self.atoms]
@@ -111,18 +101,17 @@ class WeightedPointCloud:
 
     @classmethod
     def from_dict(cls, data):
-        dim = data["dim"]
+        dim = json_field(data, "dim", "cloud data")
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise DomainError("malformed cloud data: dim %r is not an integer" % (dim,))
-        try:
-            atoms = []
-            for atom in data["atoms"]:
-                if not isinstance(atom["x"], list):
-                    raise TypeError("atom coordinates %r are not a list" % (atom["x"],))
-                atoms.append((tuple(map(parse_frac, atom["x"])), parse_frac(atom["w"])))
-        except (TypeError, ValueError) as exc:
-            raise DomainError("malformed cloud data: %s" % (exc,)) from exc
-        return cls(dim, atoms)
+        atoms = json_field(data, "atoms", "cloud data")
+        if not isinstance(atoms, list):
+            raise DomainError("malformed cloud data: atoms %r are not a list" % (atoms,))
+        points = [json_field(atom, "x", "atom") for atom in atoms]
+        if not all(isinstance(x, list) for x in points):
+            raise DomainError("malformed cloud data: atom coordinates must be lists")
+        weights = [parse_frac(json_field(atom, "w", "atom")) for atom in atoms]
+        return cls(dim, [(tuple(map(parse_frac, x)), w) for x, w in zip(points, weights)])
 
     def to_tsv(self):
         header = "\t".join(["x%d" % (i + 1) for i in range(self.dim)] + ["weight"])
@@ -162,18 +151,22 @@ def apply_affine(cloud, matrix, shift=None):
     return WeightedPointCloud(out_dim, atoms)
 
 
-def quantize_entry(value, digits=FRAME_QUANTIZE_DIGITS):
-    """Exact rational for a frame entry; floats round at 10^-digits."""
+def quantize_entry(value):
+    """Exact rational for a frame entry; floats round at 10^-12."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    scale = 10 ** digits
+    scale = 10 ** FRAME_QUANTIZE_DIGITS
     return Fraction(round(float(value) * scale), scale)
 
 
 class OrthoFrame:
-    """n orthonormal rows spanning an n-dimensional subspace of R^N."""
+    """n orthonormal rows spanning an n-dimensional subspace of R^N.
+
+    ``int_rows`` = (R, rows * R) holds the rows quantized by
+    ``quantize_entry``, R the lcm of their denominators.
+    """
 
     def __init__(self, rows, tolerance=1e-9):
         import numpy as np
@@ -203,14 +196,11 @@ class OrthoFrame:
         self.rows = rows
         self.ambient = ambient
         self.tolerance = tolerance
-        self.gram_defect = defect
+        self.int_rows = _over_lcm([[quantize_entry(x) for x in r] for r in rows])
 
     @property
     def n(self):
         return len(self.rows)
-
-    def quantized_rows(self, digits=FRAME_QUANTIZE_DIGITS):
-        return tuple(tuple(quantize_entry(x, digits) for x in r) for r in self.rows)
 
     def as_array(self):
         import numpy as np
@@ -231,9 +221,12 @@ class OrthoFrame:
 
     @classmethod
     def from_dict(cls, data):
-        rows = float_rows(data["rows"], "frame rows")
+        rows = float_rows(json_field(data, "rows", "frame"), "frame rows")
         tolerance = data.get("tolerance", 1e-9)
         try:
+            # float() would read a boolean as 0 or 1
+            if isinstance(tolerance, bool):
+                raise TypeError
             tolerance = float(tolerance)
         except (TypeError, ValueError):
             raise DomainError("frame tolerance %r is not a number" % (tolerance,)) from None

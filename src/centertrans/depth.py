@@ -42,7 +42,7 @@ from functools import cmp_to_key, lru_cache
 from itertools import accumulate, combinations
 
 from . import polygon
-from .cloud import WeightedPointCloud, _as_fraction
+from .cloud import WeightedPointCloud, _as_fraction, _over_lcm
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
 
@@ -98,9 +98,6 @@ class DepthRegion:
         if k == 2:
             return "segment"
         return "polygon"
-
-    def is_empty(self):
-        return not self.vertices
 
     def locate(self, point):
         return polygon.locate_point(self.vertices, tuple(_as_fraction(c) for c in point))
@@ -331,8 +328,8 @@ def _nullspace_direction(rows, dim):
     vec[free] = Fraction(1)
     for i, col in enumerate(piv_cols):
         vec[col] = -mat[i][free]
-    den = math.lcm(*(v.denominator for v in vec))
-    return _primitive(tuple(int(v * den) for v in vec))
+    _, (v,) = _over_lcm([vec])
+    return _primitive(v)
 
 
 @lru_cache(maxsize=8)
@@ -346,9 +343,7 @@ def _sample_directions(dim, samples, seed):
 
     out = []
     for row in np.random.default_rng(seed).standard_normal((samples, dim)):
-        f = [Fraction(float(c)) for c in row]
-        den = math.lcm(*(c.denominator for c in f))
-        v = tuple(int(c * den) for c in f)
+        _, (v,) = _over_lcm([[Fraction(float(c)) for c in row]])
         if any(v):
             out.append(v)
     return tuple(out)
@@ -789,24 +784,21 @@ def _ascent(clouds, start, radius, steps, shrink, max_denominator, seed):
     return tuple(x), cur
 
 
-def marginal(cloud, frame, digits=None):
+def marginal(cloud, frame):
     """Pushforward of the cloud onto the frame's coordinate system.
 
-    Frame rows are quantized to rationals (default 12 decimal digits;
-    exact rational rows pass through unchanged) and scaled to integers
-    by the lcm ``row_scale`` of their denominators.  Each image is the
-    tuple of integer dot products of those rows with the cloud's
-    ``int_points``, so every coordinate is that integer over
-    ``row_scale * coord_scale``.  Coincident images merge with summed
-    weights, and the atoms come out sorted by coordinates.
+    Each image is the tuple of integer dot products of the frame's
+    ``int_rows`` (its rows quantized at 12 decimal digits when the frame
+    was built, over ``row_scale``) with the cloud's ``int_points``, so
+    every coordinate is that integer over ``row_scale * coord_scale``.
+    Coincident images merge with summed weights, and the atoms come out
+    sorted by coordinates.
     """
     if frame.ambient != cloud.dim:
         raise DomainError(
             "frame ambient %d does not match cloud dim %d" % (frame.ambient, cloud.dim)
         )
-    rows = frame.quantized_rows() if digits is None else frame.quantized_rows(digits)
-    row_scale = math.lcm(*(x.denominator for row in rows for x in row))
-    irows = [tuple(x.numerator * (row_scale // x.denominator) for x in row) for row in rows]
+    row_scale, irows = frame.int_rows
     coord_scale, ipts = cloud.int_points
     merged = {}
     for p, (_, w) in zip(ipts, cloud.atoms):

@@ -43,10 +43,10 @@ def _weights(rng, count, mode):
     raise DomainError("unknown weight mode %r" % (mode,))
 
 
-def _rational_rotation(rng, dim, sweeps=2):
-    """Exact orthogonal matrix from random Pythagorean Givens rotations."""
+def _rational_rotation(rng, dim):
+    """Exact orthogonal matrix from 2 * dim random Pythagorean Givens rotations."""
     q = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    for _ in range(sweeps * dim):
+    for _ in range(2 * dim):
         i, j = rng.choice(dim, size=2, replace=False)
         c, s = _PYTHAGOREAN[int(rng.integers(len(_PYTHAGOREAN)))]
         if rng.integers(2):
@@ -87,6 +87,8 @@ def generate_cloud(
         raise DomainError("unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES)))
     if atoms < 1 or denominator < 1:
         raise DomainError("atoms (%r) and denominator (%r) must be >= 1" % (atoms, denominator))
+    if not math.isfinite(spread):
+        raise DomainError("spread must be a finite number, got %r" % (spread,))
     if ambient is not None and family in ("simplex-atoms", "uniform-ball", "gaussian-quantized"):
         raise DomainError("%s takes no ambient; its dimension is dim" % family)
     import numpy as np
@@ -149,11 +151,11 @@ def generate_cloud(
     return WeightedPointCloud(target_dim, [(p, w) for p in pts])
 
 
-def centerline_suite(count=20, master_seed=20250809):
-    """Seeded clouds in R^3 (<= 20 atoms) for the m=1, n=2 verification."""
+def centerline_suite():
+    """The 20 seeded clouds in R^3 (<= 20 atoms) for the m=1, n=2 verification."""
     import numpy as np
 
-    seeds = np.random.SeedSequence(master_seed).spawn(count)
+    seeds = np.random.SeedSequence(20250809).spawn(20)
     clouds = []
     for i, seq in enumerate(seeds):
         rng = np.random.default_rng(seq)
@@ -172,11 +174,11 @@ def centerline_suite(count=20, master_seed=20250809):
     return clouds
 
 
-def maintheorem_suite(count=10, master_seed=20250810):
-    """Seeded two-cloud instances in R^7 (<= 12 atoms) for m=2, n=2."""
+def maintheorem_suite(count=10):
+    """The first count seeded two-cloud pairs in R^7 (<= 12 atoms) for m=2, n=2."""
     import numpy as np
 
-    seeds = np.random.SeedSequence(master_seed).spawn(count)
+    seeds = np.random.SeedSequence(20250810).spawn(count)
     instances = []
     for seq in seeds:
         rng = np.random.default_rng(seq)

@@ -168,10 +168,6 @@ def locate_point(vertices, point):
     return "boundary" if on_edge else "inside"
 
 
-def contains_point(vertices, point):
-    return locate_point(vertices, point) != "outside"
-
-
 def edge_halfplanes(vertices):
     """Halfplane list of a canonical full-rank CCW polygon."""
     out = []
@@ -223,7 +219,7 @@ def intersect(p_vertices, q_vertices):
     if len(p) > len(q):
         p, q = q, p
     if len(p) == 1:
-        return p if contains_point(q, p[0]) else ()
+        return p if locate_point(q, p[0]) != "outside" else ()
     if len(q) == 2:
         return normalize(_segment_intersection(p[0], p[1], q[0], q[1]))
     return normalize(clip_many(p, edge_halfplanes(q)))

@@ -8,9 +8,15 @@ report files.
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .errors import DomainError
+
+# Python's limit on the digits of an integer read from text
+LITERAL_DIGITS = 4300
+_DIGIT_BOUND = 10 ** LITERAL_DIGITS
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def frac_str(x):
@@ -23,7 +29,8 @@ def parse_frac(s):
     """Parse "p/q", integer, or decimal text into an exact Fraction.
 
     Decimal strings convert exactly ("0.25" -> 1/4).  JSON booleans are
-    not rationals, although Python counts them as integers.
+    not rationals, although Python counts them as integers.  No numerator
+    or denominator in lowest terms may have more than LITERAL_DIGITS digits.
     """
     if isinstance(s, Fraction):
         return s
@@ -32,12 +39,27 @@ def parse_frac(s):
     if isinstance(s, int):
         return Fraction(s)
     text = str(s).strip()
-    if not text:
-        raise DomainError("empty rational literal")
+    exponent = _EXPONENT.search(text)
     try:
-        return Fraction(text)
+        # Fraction("1e-1000000000") runs for more than 20 s.  Past this
+        # exponent a nonzero value's numerator or denominator has more than
+        # LITERAL_DIGITS digits, so only the rest of the text is parsed
+        if exponent and abs(int(exponent[1])) > LITERAL_DIGITS + len(text):
+            value = None if Fraction(text[:exponent.start()] + "e0") else Fraction(0)
+        else:
+            value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError("bad rational literal %r" % (s,)) from exc
+        raise DomainError("bad rational literal %.60r" % (text,)) from exc
+    if value is None or max(abs(value.numerator), value.denominator) >= _DIGIT_BOUND:
+        raise DomainError("rational literal %.60r has more than %d digits" % (text, LITERAL_DIGITS))
+    return value
+
+
+def json_field(data, key, what):
+    """data[key] of a JSON object; bad input names the missing key."""
+    if not isinstance(data, dict) or key not in data:
+        raise DomainError("%s has no %r key" % (what, key))
+    return data[key]
 
 
 def float_list(vec):

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from centertrans.cli import main
+from centertrans.errors import DomainError
+from centertrans.serialize import parse_frac
 
 F = Fraction
 
@@ -195,6 +197,53 @@ def test_depth_dim_not_an_integer_exit_2(capsys, tmp_path, dim):
     _assert_bad_input(["depth", "--input", str(path)], capsys)
 
 
+# 10^-4299 has a 4300-digit denominator, the most a literal may have;
+# 10^-4300 has 4301 digits, and 10^-1000000000 once took minutes to parse
+@pytest.mark.parametrize("literal, code", [("1e-4299", 0), ("1e-4300", 2), ("1e-1000000000", 2)])
+@pytest.mark.parametrize("place", ["--region", "--point=", "json", "tsv"])
+def test_decimal_literal_digit_limit(capsys, tmp_path, place, literal, code):
+    tri = write_triangle(tmp_path / "tri.json")
+    if place == "--region":
+        args = ["depth", "--input", tri, "--region", literal]
+    elif place == "--point=":
+        args = ["depth", "--input", tri, "--point=" + literal + ",0"]
+    else:
+        rows = [["0", "0"], [literal, "0"], ["0", "1"]]
+        if place == "json":
+            path = tmp_path / "cloud.json"
+            path.write_text(json.dumps({"dim": 2, "atoms": [{"x": x, "w": "1/3"} for x in rows]}))
+        else:
+            path = tmp_path / "cloud.tsv"
+            path.write_text("x1\tx2\tweight\n" + "".join("%s\t%s\t1/3\n" % tuple(x) for x in rows))
+        args = ["depth", "--input", str(path), "--point=0,0"]
+    if code == 2:
+        assert "has more than 4300 digits" in _assert_bad_input(args, capsys)
+    else:
+        assert run_cli(args, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("1e4299", F(10 ** 4299)), ("5e-4300", F(1, 2 * 10 ** 4299)), ("0e1000000000", F(0)),
+    ("1" * 4300, F(int("1" * 4300))), ("12.500e-2", F(1, 8)), ("-1_0.5e1", F(-105)),
+])
+def test_parse_frac_at_the_digit_limit(literal, value):
+    assert parse_frac(literal) == value
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("1e4300", "more than 4300 digits"), ("1e-4300", "more than 4300 digits"),
+    ("5e-4301", "more than 4300 digits"), ("0." + "0" * 4299 + "1", "more than 4300 digits"),
+    ("1" * 3000 + "." + "1" * 3000, "more than 4300 digits"),
+    # int() refuses a run of more than 4300 digits before any value is formed
+    ("1" * 4301, "bad rational literal"), ("1e" + "9" * 5000, "bad rational literal"),
+    ("1/" + "1" * 4301, "bad rational literal"),
+], ids=["1e4300", "1e-4300", "5e-4301", "0.0...01", "6000-digit numerator", "4301 ones",
+        "5000-digit exponent", "4301-digit denominator"])
+def test_parse_frac_past_the_digit_limit(literal, message):
+    with pytest.raises(DomainError, match=message):
+        parse_frac(literal)
+
+
 def test_depth_measure_and_region(capsys, tmp_path):
     cloud = write_triangle(tmp_path / "tri.json")
     code, out, _ = run_cli(["depth", "--input", cloud], capsys)
@@ -336,6 +385,13 @@ def test_gen_zero_ambient_exit_2(capsys, family, ambient):
     assert "ambient" in error
 
 
+@pytest.mark.parametrize("spread", ["nan", "inf"])
+def test_gen_non_finite_spread_exit_2(capsys, spread):
+    # the cluster jitter would be NaN or infinite, which round() cannot take
+    _assert_bad_input(["gen", "--family", "adversarial-three-cluster", "--spread", spread],
+                      capsys)
+
+
 def test_gen_planar_family_dim_1_exit_2(capsys):
     error = _assert_bad_input(
         ["gen", "--family", "adversarial-three-cluster", "--dim", "1", "--atoms", "4"], capsys
@@ -455,6 +511,8 @@ def test_undecodable_input_file_exit_2(capsys, tmp_path, option, name):
 _LOADED_AFTER_MAIN = """
 import contextlib, io, json, sys
 from centertrans.cli import main
+from centertrans.errors import DomainError
+from centertrans.serialize import parse_frac
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in json.loads(sys.argv[1])]
 loaded = [m for m in ("numpy", "centertrans.simplex", "centertrans.transversal")

@@ -202,7 +202,7 @@ def test_depth_region_triangle():
     region = depth_region(t, F(1, 3))
     assert region.kind == "polygon"
     assert set(region.vertices) == {(F(0), F(0)), (F(1), F(0)), (F(0), F(1))}
-    assert depth_region(t, F(28, 81)).is_empty()
+    assert depth_region(t, F(28, 81)).kind == "empty"
 
 
 def test_depth_region_single_atom():

@@ -14,7 +14,7 @@ F = Fraction
 # (cos, sin) of rotations with rational entries
 PYTHAGOREAN = ((F(3, 5), F(4, 5)), (F(5, 13), F(12, 13)), (F(8, 17), F(15, 17)))
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+PROPERTY = settings(max_examples=100)
 
 
 def _build(den, atoms):

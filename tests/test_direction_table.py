@@ -133,7 +133,7 @@ def grid_clouds():
     return st.lists(one, min_size=1, max_size=2)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(max_examples=120)
 @given(clouds=grid_clouds())
 def test_sweep_matches_reference_property(clouds):
     assert_matches_reference(clouds)
@@ -160,7 +160,7 @@ def near_parallel_vectors():
     return st.sets(vec, min_size=1, max_size=12)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(dirs=near_parallel_vectors())
 def test_angle_sort_is_exact(dirs):
     assert _angle_sorted(dirs) == sorted(dirs, key=cmp_to_key(exact_angle_order))

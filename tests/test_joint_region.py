@@ -231,7 +231,7 @@ def small_clouds():
     return st.lists(one, min_size=1, max_size=3)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(clouds=small_clouds(), data=st.data())
 def test_integer_kernel_matches_fraction_clip_property(clouds, data):
     levels = union_levels(clouds)

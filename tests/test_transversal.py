@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from centertrans.cloud import OrthoFrame, WeightedPointCloud
+from centertrans.cloud import OrthoFrame, WeightedPointCloud, quantize_entry
 from centertrans.depth import depth_of_measure, marginal
 from centertrans.errors import DomainError
 from centertrans.generators import generate_cloud
@@ -162,7 +162,7 @@ def test_orthogonal_equivariance_of_objective():
     from centertrans.cloud import apply_affine
 
     c3q = apply_affine(c3, q)
-    rows = frame.quantized_rows()
+    rows = [[quantize_entry(x) for x in r] for r in frame.rows]
     rot_rows = [
         tuple(sum(q[i][j] * r[j] for j in range(3)) for i in range(3)) for r in rows
     ]
@@ -174,7 +174,7 @@ def test_orthogonal_equivariance_of_objective():
 def test_search_determinism_cold_and_warm_cache():
     c = embedded(planar_cloud(seed=21, atoms=9))
     cfg = SearchConfig(restarts=6, local_steps=5, master_seed=3)
-    # a fresh copy starts with empty integer and direction-table caches
+    # a fresh copy starts with an empty direction-table cache
     rep1 = search([WeightedPointCloud(c.dim, c.atoms)], 2, cfg)
     rep2 = search([c], 2, cfg)
     rep3 = search([c], 2, cfg)
