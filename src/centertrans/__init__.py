@@ -4,35 +4,36 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .centers import CenterReport, center_point, classify
-from .cloud import OrthoFrame, WeightedPointCloud, apply_affine
-from .depth import (
-    DepthRegion,
-    DepthValue,
-    depth_of_measure,
-    depth_region,
-    halfspace_mass,
-    marginal,
-    thresholds,
-    tukey_depth,
-)
-from .schubert import (
-    Cochain,
-    GrassmannContext,
-    height_w1,
-    min_dimension,
-    monomial,
-    obstruction_main,
-    obstruction_power2free,
-    pieri_dual,
-    pieri_special,
-    special_class,
-    wn_power,
-)
-# simplex and transversal compute in floats and import numpy; the exact
-# modules above do not.  Their names resolve on first access (PEP 562), so
-# an exact computation never pays for importing numpy.
+# Every re-exported name and the module it lives in.  Importing the
+# package loads none of them: a name, or a module named here, resolves on
+# first access (PEP 562), so a process pays only for the modules it uses
+# (simplex and transversal also import numpy).
 _LAZY = {
+    "thresholds": "bounds",
+    "min_dimension": "bounds",
+    "CenterReport": "centers",
+    "center_point": "centers",
+    "classify": "centers",
+    "OrthoFrame": "cloud",
+    "WeightedPointCloud": "cloud",
+    "apply_affine": "cloud",
+    "DepthRegion": "depth",
+    "DepthValue": "depth",
+    "depth_of_measure": "depth",
+    "depth_region": "depth",
+    "halfspace_mass": "depth",
+    "marginal": "depth",
+    "tukey_depth": "depth",
+    "Cochain": "schubert",
+    "GrassmannContext": "schubert",
+    "height_w1": "schubert",
+    "monomial": "schubert",
+    "obstruction_main": "schubert",
+    "obstruction_power2free": "schubert",
+    "pieri_dual": "schubert",
+    "pieri_special": "schubert",
+    "special_class": "schubert",
+    "wn_power": "schubert",
     "RegularSimplexPlacement": "simplex",
     "VertexTuple": "simplex",
     "delta_of_vertices": "simplex",

@@ -20,6 +20,7 @@ form.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import thresholds
 from .cloud import _as_fraction
 from .depth import (
     DepthRegion,
@@ -27,7 +28,6 @@ from .depth import (
     _interval_1d,
     _region_vertices,
     depth_of_measure,
-    thresholds,
 )
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str

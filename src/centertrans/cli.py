@@ -4,6 +4,11 @@ Every emitted report embeds a manifest (subcommand, inputs, seed, config
 echo, artifact version); wall time is logged to stderr so identical
 seeds and inputs rerun to byte-identical report files.  Exit codes:
 0 success, 1 a named check or verification target failed, 2 bad input.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads (and, without cached bytecode, compiles) only those: ``bounds``
+needs no kernel at all, and only ``gen``, ``simplex`` and
+``transversal`` load numpy.
 """
 
 import argparse
@@ -12,18 +17,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, schubert
-from .centers import center_point, classify
-from .cloud import OrthoFrame, WeightedPointCloud
-from .depth import (
-    depth_of_measure,
-    depth_region,
-    halfspace_mass,
-    thresholds,
-    tukey_depth,
-)
+from . import __version__
 from .errors import DomainError
-from .generators import FAMILIES, generate_cloud
 from .serialize import dump_json, float_rows, frac_str, json_field, load_json, parse_frac
 
 CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
@@ -58,6 +53,8 @@ def _write_tsv(path, header, rows):
 
 
 def _load_cloud(path):
+    from .cloud import WeightedPointCloud
+
     if path.endswith(".tsv"):
         with open(path, encoding="utf-8") as fh:
             try:
@@ -73,7 +70,9 @@ def _parse_point(text):
 
 
 def cmd_bounds(args):
-    n_min = schubert.min_dimension(args.m, args.n)
+    from .bounds import min_dimension, thresholds
+
+    n_min = min_dimension(args.m, args.n)
     rado, improved = thresholds(args.n)
     report = {
         "manifest": _manifest("bounds"),
@@ -94,6 +93,8 @@ def cmd_bounds(args):
 
 
 def _run_named_check(args):
+    from . import schubert
+
     name = args.check
     if name == "main-obstruction":
         result = schubert.obstruction_main(args.m, args.n)
@@ -139,6 +140,8 @@ def cmd_schubert(args):
         return 0 if ok else 1
     if args.exponents is None or args.codim is None:
         raise DomainError("need --exponents and --codim (or a named --check)")
+    from . import schubert
+
     ctx = schubert.GrassmannContext(args.n, args.codim)
     try:
         exponents = [int(e) for e in args.exponents.split(",")]
@@ -164,14 +167,21 @@ def cmd_schubert(args):
 
 
 def cmd_depth(args):
+    # bad input exits before the depth kernel is imported
     cloud = _load_cloud(args.input)
-    report = {"manifest": _manifest("depth", inputs=[args.input]),
-              "dim": cloud.dim, "atoms": len(cloud.atoms)}
     if args.point is not None:
         if args.tsv_out and cloud.dim != 2:
             raise DomainError("the --point angle profile (--tsv-out) needs a planar "
                               "cloud, got dim %d" % cloud.dim)
         x = _parse_point(args.point)
+    elif args.region is not None:
+        tau = parse_frac(args.region)
+    from .bounds import thresholds
+    from .depth import depth_of_measure, depth_region, tukey_depth
+
+    report = {"manifest": _manifest("depth", inputs=[args.input]),
+              "dim": cloud.dim, "atoms": len(cloud.atoms)}
+    if args.point is not None:
         dv = tukey_depth(cloud, x)
         report["point"] = [frac_str(c) for c in x]
         report["depth"] = frac_str(dv.value)
@@ -182,7 +192,6 @@ def cmd_depth(args):
             rows = _direction_profile(cloud, x)
             _write_tsv(args.tsv_out, ("angle", "mass"), rows)
     elif args.region is not None:
-        tau = parse_frac(args.region)
         region = depth_region(cloud, tau)
         report["region"] = region.to_dict()
         if args.tsv_out:
@@ -203,6 +212,8 @@ def cmd_depth(args):
 def _direction_profile(cloud, x):
     import math
 
+    from .depth import halfspace_mass
+
     rows = []
     for k in range(PROFILE_DIRECTIONS):
         ang = 2.0 * math.pi * k / PROFILE_DIRECTIONS
@@ -215,6 +226,8 @@ def _direction_profile(cloud, x):
 
 def cmd_center(args):
     cloud = _load_cloud(args.input)
+    from .centers import center_point
+
     rep = center_point(cloud, cloud.dim)
     report = {"manifest": _manifest("center", inputs=[args.input])}
     report.update(rep.to_dict())
@@ -243,10 +256,11 @@ def cmd_simplex(args):
 
 
 def cmd_transversal(args):
+    from .cloud import OrthoFrame
     from .transversal import SearchConfig, search, verify
 
     clouds = [_load_cloud(p) for p in args.input]
-    target = parse_frac(args.target) if args.target else None
+    target = None if args.target is None else parse_frac(args.target)
     if args.frame:
         frame = OrthoFrame.from_dict(load_json(args.frame))
         rep = verify(frame, clouds, args.n, target=target)
@@ -278,6 +292,8 @@ def cmd_transversal(args):
 
 
 def cmd_gen(args):
+    from .generators import generate_cloud
+
     cloud = generate_cloud(
         args.family,
         seed=args.seed,
@@ -298,9 +314,23 @@ def cmd_gen(args):
                 **cloud.to_dict()}
         _emit(body, args.out)
     if args.classify:
+        from .centers import classify
+
         label = classify(cloud, cloud.dim) if cloud.dim <= 2 else "n/a"
         sys.stderr.write("classification: %s\n" % label)
     return 0
+
+
+class _Families:
+    """generators.FAMILIES, imported only when argparse reads a --family value."""
+
+    def __iter__(self):
+        from .generators import FAMILIES
+
+        return iter(FAMILIES)
+
+    def __contains__(self, name):
+        return name in tuple(self)
 
 
 def build_parser():
@@ -365,14 +395,16 @@ def build_parser():
     p.set_defaults(func=cmd_transversal)
 
     p = sub.add_parser("gen", help="deterministic instance files")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--family", choices=_Families(), metavar="FAMILY", required=True,
+                   help="one of %(choices)s")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--atoms", type=int, default=12)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--ambient", type=int)
     p.add_argument("--denominator", type=int, default=10000)
     p.add_argument("--weights", choices=("equal", "random"), default="equal")
-    p.add_argument("--spread", type=float, default=0.05)
+    p.add_argument("--spread", type=float,
+                   help="cluster jitter of adversarial-three-cluster (default 0.05)")
     p.add_argument("--no-rotate", action="store_true")
     p.add_argument("--classify", action="store_true")
     p.add_argument("--out")

@@ -42,6 +42,7 @@ from functools import cmp_to_key, lru_cache
 from itertools import accumulate, combinations
 
 from . import polygon
+from .bounds import thresholds  # noqa: F401 (re-exported)
 from .cloud import WeightedPointCloud, _as_fraction, _over_lcm
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
@@ -51,15 +52,6 @@ from .serialize import frac_str
 _BOUND_SAMPLES = 512
 _BOUND_SUBSET_CAP = 2000
 _BOUND_SEED = 0
-
-
-def thresholds(n):
-    """(Rado bound, improved bound) for marginals of dimension n."""
-    n = int(n)
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    rado = Fraction(1, n + 1)
-    return rado, rado + Fraction(1, 3 * (n + 1) ** 3)
 
 
 @dataclass(frozen=True)

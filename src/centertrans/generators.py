@@ -9,7 +9,6 @@ byte.
 import math
 from fractions import Fraction
 
-from .cloud import WeightedPointCloud
 from .errors import DomainError
 
 FAMILIES = (
@@ -19,6 +18,8 @@ FAMILIES = (
     "coplanar",
     "adversarial-three-cluster",
 )
+# the cluster jitter of adversarial-three-cluster, the one family with a spread
+CLUSTER_SPREAD = 0.05
 
 # exact rational rotations used to scramble embedded instances
 _PYTHAGOREAN = (
@@ -79,19 +80,29 @@ def generate_cloud(
     ambient=None,
     denominator=10000,
     weight_mode="equal",
-    spread=0.05,
+    spread=None,
     rotate=True,
 ):
-    """One deterministic instance of the named family."""
+    """One deterministic instance of the named family.
+
+    Only adversarial-three-cluster takes a spread (CLUSTER_SPREAD by
+    default), and only the planar families embedded in R^ambient take an
+    ambient.
+    """
     if family not in FAMILIES:
         raise DomainError("unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES)))
-    if atoms < 1 or denominator < 1:
-        raise DomainError("atoms (%r) and denominator (%r) must be >= 1" % (atoms, denominator))
-    if not math.isfinite(spread):
+    if atoms < 1 or denominator < 1 or dim < 1:
+        raise DomainError("atoms (%r), dim (%r) and denominator (%r) must be >= 1"
+                          % (atoms, dim, denominator))
+    if spread is not None and family != "adversarial-three-cluster":
+        raise DomainError("%s takes no spread; only adversarial-three-cluster does" % family)
+    if spread is not None and not math.isfinite(spread):
         raise DomainError("spread must be a finite number, got %r" % (spread,))
     if ambient is not None and family in ("simplex-atoms", "uniform-ball", "gaussian-quantized"):
         raise DomainError("%s takes no ambient; its dimension is dim" % family)
     import numpy as np
+
+    from .cloud import WeightedPointCloud
 
     rng = np.random.default_rng(seed)
     if family == "simplex-atoms":
@@ -136,6 +147,8 @@ def generate_cloud(
         (math.cos(math.pi * 7 / 6), math.sin(math.pi * 7 / 6)),
         (math.cos(math.pi * 11 / 6), math.sin(math.pi * 11 / 6)),
     ]
+    if spread is None:
+        spread = CLUSTER_SPREAD
     pts2 = []
     for cx, cy in centers:
         jitter = rng.standard_normal((per, 2)) * spread

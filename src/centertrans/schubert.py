@@ -11,6 +11,7 @@ All values are exact, so class equality and (non)vanishing are decidable.
 from dataclasses import dataclass
 from itertools import combinations
 
+from .bounds import is_power_of_two, min_dimension  # noqa: F401 (min_dimension re-exported)
 from .errors import DomainError
 
 W = "w"
@@ -261,20 +262,6 @@ def height_w1(context):
             return k
         c = nxt
         k += 1
-
-
-def is_power_of_two(x):
-    return x >= 1 and (x & (x - 1)) == 0
-
-
-def min_dimension(m, n):
-    """Smallest guaranteed ambient dimension for m measures and n-planes."""
-    m, n = int(m), int(n)
-    if m < 1 or n < 2:
-        raise DomainError("need m >= 1 and n >= 2")
-    if is_power_of_two(n + 1):
-        return 3 * m + n - 1
-    return 2 * m + n - 1
 
 
 def obstruction_main(m, n):

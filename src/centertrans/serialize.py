@@ -20,8 +20,15 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\Z")
 
 
 def frac_str(x):
-    """Canonical "p/q" string for a rational (q >= 1, reduced)."""
+    """Canonical "p/q" string for a rational (q >= 1, reduced).
+
+    A report holds only values that parse_frac reads back, so a numerator
+    or denominator past LITERAL_DIGITS digits is refused here as well.
+    """
     f = Fraction(x)
+    if max(abs(f.numerator), f.denominator) >= _DIGIT_BOUND:
+        raise DomainError("a report value has more than %d digits in its numerator or "
+                          "denominator" % LITERAL_DIGITS)
     return "%d/%d" % (f.numerator, f.denominator)
 
 

@@ -31,13 +31,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import polygon
+from .bounds import min_dimension, thresholds
 from .centers import center_point
 from .cloud import OrthoFrame, _as_fraction
-from .depth import (
-    _ascent, _deepest_common_region, _mean, marginal, thresholds, tukey_depth,
-)
+from .depth import _ascent, _deepest_common_region, _mean, marginal, tukey_depth
 from .errors import DomainError, InternalConsistencyError
-from .schubert import min_dimension
 from .serialize import frac_str
 
 
@@ -175,6 +173,14 @@ def _check_clouds(frame, clouds):
         raise DomainError("frame ambient does not match the clouds")
 
 
+def _target(target, n):
+    """The depth target, the improved bound by default; it lies in (0, 1]."""
+    target = thresholds(n)[1] if target is None else _as_fraction(target)
+    if not 0 < target <= 1:
+        raise DomainError("target must lie in (0, 1], got %s" % (target,))
+    return target
+
+
 def verify(frame, clouds, n, target=None):
     """Exact re-evaluation of a frame: depths, c-points, consensus spread.
 
@@ -185,9 +191,7 @@ def verify(frame, clouds, n, target=None):
     _check_clouds(frame, clouds)
     if frame.n != n:
         raise DomainError("frame has %d rows, expected n = %d" % (frame.n, n))
-    if target is None:
-        target = thresholds(n)[1]
-    target = _as_fraction(target)
+    target = _target(target, n)
     value, witness, per, marginals, exact = _objective_parts(frame, clouds, n)
     if n <= 2:
         c_points = tuple(center_point(m, n).c for m in marginals)
@@ -273,8 +277,7 @@ def search(clouds, n, config=None):
     if config is None:
         config = SearchConfig()
     n = int(n)
-    target = config.target if config.target is not None else thresholds(n)[1]
-    target = _as_fraction(target)
+    target = _target(config.target, n)
     ambient = clouds[0].dim
     if not 1 <= n <= ambient:
         raise DomainError("need 1 <= n <= ambient dimension %d, got n = %d" % (ambient, n))

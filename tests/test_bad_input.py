@@ -10,12 +10,20 @@ on stdout, and write exactly one stderr line that starts with
 ``error:``, with no traceback.  Generated draws favour the first entries
 of each list of bad values, so a catalogue also puts every bad value
 through every input path once.
+
+Bad argument values get the same treatment: one option of an otherwise
+valid command (``--point``, ``--region``, ``--target``, ``--n``, ``--m``,
+``--codim``, the search parameters and the ``gen`` options) takes a value
+out of its range, drawn from that range's complement, or one from a
+catalogue.  Values that argparse refuses itself (not a number) exit 2 by
+``SystemExit``, with argparse's usage line and one ``prog: error:`` line.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -285,3 +293,157 @@ def test_unedited_documents_are_valid(workdir, case):
     code, _, err = run(workdir, *case)
     assert code in (0, 1), err
     assert "error:" not in err
+
+
+# the commands each bad argument value is put into; "{tri}" is the
+# triangle of the workdir
+ARGUMENT_COMMANDS = {
+    "--point": ["depth", "--input", "{tri}"],
+    "--region": ["depth", "--input", "{tri}"],
+    "--target": ["transversal", "--input", "{tri}", "--restarts", "1", "--local-steps", "0"],
+    "bounds --n": ["bounds", "--m", "1"],
+    "bounds --m": ["bounds", "--n", "2"],
+    "schubert --m": ["schubert", "--n", "2", "--check", "main-obstruction"],
+    "schubert --n": ["schubert", "--codim", "2", "--check", "whitney"],
+    "schubert --codim": ["schubert", "--n", "2", "--exponents", "1,1"],
+    "heights --codim": ["schubert", "--n", "2", "--check", "heights"],
+    "transversal --n": ["transversal", "--input", "{tri}"],
+    "--restarts": ["transversal", "--input", "{tri}"],
+    "--local-steps": ["transversal", "--input", "{tri}"],
+    "--angle": ["transversal", "--input", "{tri}"],
+    "--decay": ["transversal", "--input", "{tri}"],
+    "--atoms": ["gen", "--family", "gaussian-quantized"],
+    "--denominator": ["gen", "--family", "uniform-ball"],
+    "--spread": ["gen", "--family", "uniform-ball"],
+    "cluster --spread": ["gen", "--family", "adversarial-three-cluster"],
+    "--ambient": ["gen", "--family", "gaussian-quantized"],
+    "coplanar --ambient": ["gen", "--family", "coplanar"],
+}
+ARGUMENT_COMMANDS.update(
+    ("%s --dim" % family, ["gen", "--family", family])
+    for family in ("uniform-ball", "gaussian-quantized", "simplex-atoms", "coplanar",
+                   "adversarial-three-cluster")
+)
+
+NOT_AN_INTEGER = ["x", "2.5", ""]
+NOT_A_NUMBER = ["x", ""]
+BAD_LEVELS = ["0", "-1/3", "4/3", "2", "x", "1/0", "nan", "inf", "", "1e-4300"]
+
+ARGUMENT_CATALOGUE = {
+    # the triangle is planar; 1e-4299 parses, but the witness direction at
+    # that point is past the digit limit of a report value
+    "--point": ["1/3", "1/3,1/3,1/3", "a,b", "1/0,0", "nan,0", ",", "", "1e-4300,0",
+                "1e-4299,1e-4299"],
+    "--region": BAD_LEVELS,
+    "--target": BAD_LEVELS,
+    "bounds --n": ["1", "0", "-1"] + NOT_AN_INTEGER,
+    "bounds --m": ["0", "-1"] + NOT_AN_INTEGER,
+    "schubert --m": ["0", "-3"],
+    "schubert --n": ["0", "-2"],
+    "schubert --codim": ["-1"] + NOT_AN_INTEGER,
+    "heights --codim": ["-1"],
+    "transversal --n": ["0", "3", "-1"] + NOT_AN_INTEGER,
+    "--restarts": ["0", "-1"] + NOT_AN_INTEGER,
+    "--local-steps": ["-1"] + NOT_AN_INTEGER,
+    "--angle": ["0", "-1", "4", "nan", "inf", "-inf"] + NOT_A_NUMBER,
+    "--decay": ["0", "1", "2", "-0.5", "nan", "-inf"] + NOT_A_NUMBER,
+    "--atoms": ["0", "-1"] + NOT_AN_INTEGER,
+    "--denominator": ["0", "-5"] + NOT_AN_INTEGER,
+    "--spread": ["5", "0.05", "0", "nan"] + NOT_A_NUMBER,
+    "cluster --spread": ["nan", "inf", "-inf"] + NOT_A_NUMBER,
+    "--ambient": ["5", "2", "0"] + NOT_AN_INTEGER,
+    "coplanar --ambient": ["0", "1", "-1"],
+}
+ARGUMENT_CATALOGUE.update(
+    (key, ["0", "-1"] + NOT_AN_INTEGER) for key in ARGUMENT_COMMANDS if key.endswith(" --dim")
+)
+
+
+def _fraction_text(value):
+    return "%d/%d" % (value.numerator, value.denominator)
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# out of each option's range, drawn from the range's complement
+_not_a_level = st.one_of(st.fractions(max_value=0, max_denominator=10 ** 6),
+                         st.fractions(min_value=1, max_denominator=10 ** 6)
+                         .filter(lambda f: f > 1)).map(_fraction_text)
+_coordinate = st.fractions(-2, 2, max_denominator=100).map(_fraction_text)
+GENERATED_ARGUMENTS = {
+    # a point of the wrong dimension for the planar triangle
+    "--point": st.one_of(st.lists(_coordinate, min_size=1, max_size=1),
+                         st.lists(_coordinate, min_size=3, max_size=5)).map(",".join),
+    "--region": _not_a_level,
+    "--target": _not_a_level,
+    "bounds --n": st.integers(max_value=1),
+    "bounds --m": st.integers(max_value=0),
+    "schubert --m": st.integers(max_value=0),
+    "schubert --n": st.integers(max_value=0),
+    "schubert --codim": st.integers(max_value=-1),
+    "heights --codim": st.integers(max_value=-1),
+    "transversal --n": st.one_of(st.integers(max_value=0), st.integers(3, 10 ** 6)),
+    "--restarts": st.integers(max_value=0),
+    "--local-steps": st.integers(max_value=-1),
+    "--angle": st.one_of(_finite(max_value=0), _finite(min_value=math.pi).filter(
+        lambda x: x > math.pi), st.sampled_from([math.nan, math.inf, -math.inf])),
+    "--decay": st.one_of(_finite(max_value=0), _finite(min_value=1),
+                         st.sampled_from([math.nan, math.inf, -math.inf])),
+    "--atoms": st.integers(max_value=0),
+    "--denominator": st.integers(max_value=0),
+    # no family but the cluster one takes a spread, whatever its value
+    "--spread": st.floats(),
+    "cluster --spread": st.sampled_from([math.nan, math.inf, -math.inf]),
+    # gaussian-quantized takes no ambient, whatever its value
+    "--ambient": st.integers(),
+    "coplanar --ambient": st.integers(max_value=1),
+}
+GENERATED_ARGUMENTS.update(
+    (key, st.integers(max_value=0)) for key in ARGUMENT_COMMANDS if key.endswith(" --dim")
+)
+
+
+def run_argv(argv):
+    """Exit code, stdout and stderr of cli.main; argparse's own errors exit
+    by SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_argument_rejected(workdir, key, value):
+    option = key.split()[-1]
+    argv = [a.format(tri=workdir / "tri.json") for a in ARGUMENT_COMMANDS[key]]
+    # "--opt=value", so that argparse reads a leading minus as part of the value
+    code, out, err = run_argv(argv + ["%s=%s" % (option, value)])
+    assert code == 2, err
+    assert out == ""
+    assert sum("error: " in line for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+ARGUMENT_CASES = [(key, value) for key, values in ARGUMENT_CATALOGUE.items()
+                  for value in values]
+
+
+def test_every_option_has_bad_values():
+    assert set(ARGUMENT_CATALOGUE) == set(ARGUMENT_COMMANDS) == set(GENERATED_ARGUMENTS)
+
+
+@pytest.mark.parametrize("key, value", ARGUMENT_CASES,
+                         ids=["%s %r" % case for case in ARGUMENT_CASES])
+def test_every_bad_argument_exits_2(workdir, key, value):
+    assert_argument_rejected(workdir, key, value)
+
+
+@settings(max_examples=300)
+@given(case=st.sampled_from(sorted(GENERATED_ARGUMENTS)).flatmap(
+    lambda key: st.tuples(st.just(key), GENERATED_ARGUMENTS[key])))
+def test_generated_bad_arguments_exit_2(workdir, case):
+    assert_argument_rejected(workdir, *case)

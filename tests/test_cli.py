@@ -7,7 +7,7 @@ import pytest
 
 from centertrans.cli import main
 from centertrans.errors import DomainError
-from centertrans.serialize import parse_frac
+from centertrans.serialize import frac_str, parse_frac
 
 F = Fraction
 
@@ -222,6 +222,22 @@ def test_decimal_literal_digit_limit(capsys, tmp_path, place, literal, code):
         assert run_cli(args, capsys)[0] == 0
 
 
+def test_oversized_report_value_exit_2(capsys, tmp_path):
+    # each input literal is within the limit, but the witness direction at
+    # this point has integer entries of 8598 and 12897 digits, which no
+    # report may hold
+    tri = write_triangle(tmp_path / "tri.json")
+    error = _assert_bad_input(["depth", "--input", tri, "--point=1e-4299,1e-4299"], capsys)
+    assert "more than 4300 digits" in error
+
+
+def test_frac_str_refuses_what_parse_frac_cannot_read():
+    assert parse_frac(frac_str(F(1, 10 ** 4299))) == F(1, 10 ** 4299)
+    for value in (F(10 ** 4300), F(-(10 ** 4300)), F(1, 10 ** 4300)):
+        with pytest.raises(DomainError, match="more than 4300 digits"):
+            frac_str(value)
+
+
 @pytest.mark.parametrize("literal, value", [
     ("1e4299", F(10 ** 4299)), ("5e-4300", F(1, 2 * 10 ** 4299)), ("0e1000000000", F(0)),
     ("1" * 4300, F(int("1" * 4300))), ("12.500e-2", F(1, 8)), ("-1_0.5e1", F(-105)),
@@ -392,6 +408,23 @@ def test_gen_non_finite_spread_exit_2(capsys, spread):
                       capsys)
 
 
+@pytest.mark.parametrize("family", ["uniform-ball", "gaussian-quantized", "simplex-atoms",
+                                    "coplanar"])
+def test_gen_spread_only_for_the_cluster_family(capsys, family):
+    error = _assert_bad_input(["gen", "--family", family, "--spread", "5"], capsys)
+    assert "takes no spread" in error
+
+
+def test_gen_default_spread_is_the_cluster_jitter(capsys):
+    argv = ["gen", "--family", "adversarial-three-cluster", "--atoms", "6", "--seed", "4"]
+    code, default, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, explicit, _ = run_cli(argv + ["--spread", "0.05"], capsys)
+    assert code == 0 and explicit == default
+    code, wider, _ = run_cli(argv + ["--spread", "0.5"], capsys)
+    assert code == 0 and wider != default
+
+
 def test_gen_planar_family_dim_1_exit_2(capsys):
     error = _assert_bad_input(
         ["gen", "--family", "adversarial-three-cluster", "--dim", "1", "--atoms", "4"], capsys
@@ -507,18 +540,24 @@ def test_undecodable_input_file_exit_2(capsys, tmp_path, option, name):
     _assert_bad_input(args, capsys)
 
 
-# runs the CLI in a fresh interpreter and names the float modules it loaded
+# runs one CLI command in a fresh interpreter and names the package
+# modules (without the "centertrans." prefix) and numpy it left loaded
 _LOADED_AFTER_MAIN = """
 import contextlib, io, json, sys
-from centertrans.cli import main
-from centertrans.errors import DomainError
-from centertrans.serialize import parse_frac
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    codes = [main(argv) for argv in json.loads(sys.argv[1])]
-loaded = [m for m in ("numpy", "centertrans.simplex", "centertrans.transversal")
-          if m in sys.modules]
-print(json.dumps({"codes": codes, "loaded": loaded}))
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import centertrans
+    code = None
+else:
+    from centertrans.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv) if argv else None
+loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("centertrans."))
+print(json.dumps({"code": code, "loaded": loaded, "numpy": "numpy" in sys.modules}))
 """
+
+CLI_CORE = ["cli", "errors", "serialize"]
+DEPTH_KERNEL = CLI_CORE + ["bounds", "cloud", "depth", "polygon"]
 
 
 def test_exact_subcommands_do_not_import_numpy(tmp_path):
@@ -526,24 +565,46 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
     tet = write_tetrahedron(tmp_path / "tet.json")
     broken = tmp_path / "broken.json"
     broken.write_text('{"dim": 2, "atoms": [')
-    commands = [
-        ["bounds", "--m", "2", "--n", "2"],
-        ["schubert", "--n", "2", "--m", "2", "--check", "main-obstruction"],
-        ["schubert", "--n", "3", "--codim", "4", "--check", "whitney"],
-        ["depth", "--input", tri, "--point", "1/3,1/3"],
-        ["depth", "--input", tet, "--point", "1/4,1/4,1/4"],
-        ["depth", "--input", tri, "--region", "1/3"],
-        ["depth", "--input", tri],
-        ["center", "--input", tri],
-        ["depth", "--input", str(broken)],
+    # (argv, exit code, modules loaded); None imports only the package and
+    # [] only the CLI module
+    cases = [
+        (None, None, []),
+        ([], None, CLI_CORE),
+        (["bounds", "--m", "2", "--n", "2"], 0, CLI_CORE + ["bounds"]),
+        (["schubert", "--n", "2", "--m", "2", "--check", "main-obstruction"], 0,
+         CLI_CORE + ["bounds", "schubert"]),
+        (["schubert", "--n", "3", "--codim", "4", "--check", "whitney"], 0,
+         CLI_CORE + ["bounds", "schubert"]),
+        (["schubert", "--n", "2", "--codim", "5", "--exponents", "2,3"], 0,
+         CLI_CORE + ["bounds", "schubert"]),
+        (["depth", "--input", tri, "--point", "1/3,1/3"], 0, DEPTH_KERNEL),
+        (["depth", "--input", tet, "--point", "1/4,1/4,1/4"], 0, DEPTH_KERNEL),
+        (["depth", "--input", tri, "--region", "1/3"], 0, DEPTH_KERNEL),
+        (["depth", "--input", tri], 0, DEPTH_KERNEL),
+        (["center", "--input", tri], 0, DEPTH_KERNEL + ["centers"]),
+        # bad input exits before the depth kernel is imported
+        (["depth", "--input", str(broken)], 2, CLI_CORE + ["cloud"]),
+        (["center", "--input", str(broken)], 2, CLI_CORE + ["cloud"]),
+        (["depth", "--input", tri, "--point", "1/3,x"], 2, CLI_CORE + ["cloud"]),
     ]
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER_MAIN, json.dumps(commands)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"codes": [0] * 8 + [2], "loaded": []}
+    for argv, code, modules in cases:
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_AFTER_MAIN, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "code": code, "loaded": sorted(modules), "numpy": False
+        }, argv
+
+
+def test_closed_forms_have_one_home():
+    from centertrans import bounds, depth, schubert, transversal
+
+    assert depth.thresholds is bounds.thresholds is transversal.thresholds
+    assert schubert.min_dimension is bounds.min_dimension is transversal.min_dimension
+    assert schubert.is_power_of_two is bounds.is_power_of_two
 
 
 def test_lazy_reexports_are_the_module_objects():
