@@ -12,9 +12,9 @@ sufficient branch, where the region is achieved and full rank.
 
 The depth of the measure and its region come from one level search in
 ``depth`` (the prefix/suffix interval on the line); only the sufficient
-case builds a second region, at the bound.  Both come back as raw clip
-loops, and the report's DepthRegion puts the one it keeps in canonical
-form.
+case builds a second region, at the bound, from the same direction
+table.  Both come back as raw clip loops, and the report's DepthRegion
+puts the one it keeps in canonical form.
 """
 
 from dataclasses import dataclass
@@ -24,6 +24,7 @@ from .bounds import thresholds
 from .cloud import _as_fraction
 from .depth import (
     DepthRegion,
+    _DirectionTable,
     _deepest_common_region,
     _interval_1d,
     _region_vertices,
@@ -75,30 +76,35 @@ def classify(cloud, n):
 def center_point(cloud, n):
     """Associated point c of the measure, with its region and classification."""
     _check_exact_dim(cloud, n)
-    improved = thresholds(n)[1]
     if cloud.dim == 2:
-        dm, verts = _deepest_common_region([cloud])
-        level = min(dm, improved)
-        if dm >= improved:
-            verts = _region_vertices([cloud], improved)
-        if not verts:
-            raise InternalConsistencyError(
-                "superlevel region empty at an achieved level %s" % (level,)
-            )
-        region = DepthRegion(verts, tau=level)
-        c = region.centroid()
-    else:
-        dm, interval = _interval_1d(cloud)
-        level = min(dm, improved)
-        if dm >= improved:
-            _, interval = _interval_1d(cloud, improved)
-        if interval is None:
-            raise InternalConsistencyError(
-                "superlevel interval empty at an achieved level %s" % (level,)
-            )
-        lo, hi = interval
-        c = ((lo + hi) / 2,)
-        region = None
+        return _planar_center(_DirectionTable(cloud))
+    improved = thresholds(1)[1]
+    dm, interval = _interval_1d(cloud)
+    if dm >= improved:
+        _, interval = _interval_1d(cloud, improved)
+    if interval is None:
+        raise InternalConsistencyError(
+            "superlevel interval empty at an achieved level %s" % (min(dm, improved),)
+        )
+    lo, hi = interval
+    return _report(dm, improved, ((lo + hi) / 2,), None)
+
+
+def _planar_center(table):
+    """center_point of the planar cloud whose direction table this is;
+    ``transversal.verify`` passes the tables of its own level search."""
+    improved = thresholds(2)[1]
+    dm, verts = _deepest_common_region([table])
+    if dm >= improved:
+        verts = _region_vertices([table], improved)
+    level = min(dm, improved)
+    if not verts:
+        raise InternalConsistencyError("superlevel region empty at an achieved level %s" % level)
+    region = DepthRegion(verts, tau=level)
+    return _report(dm, improved, region.centroid(), region)
+
+
+def _report(dm, improved, c, region):
     return CenterReport(
         depth_of_measure=dm,
         threshold=improved,

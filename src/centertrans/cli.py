@@ -15,6 +15,7 @@ import argparse
 import re
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 from . import __version__
@@ -24,6 +25,9 @@ from .serialize import dump_json, float_rows, frac_str, json_field, load_json, p
 CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
 # directions, evenly spaced in angle, of the planar --point profile
 PROFILE_DIRECTIONS = 360
+# argparse takes a token that starts with "-" for an option name unless it
+# is a plain negative number; one that starts so is a value: -1/2, -.5, -inf
+_NEGATIVE_VALUE = re.compile(r"-([0-9./]|inf|nan)", re.IGNORECASE)
 
 
 def _manifest(subcommand, inputs=(), seed=None, config=None):
@@ -274,7 +278,11 @@ def cmd_transversal(args):
             master_seed=args.seed,
             target=target,
         )
-        rep = search(clouds, args.n, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = search(clouds, args.n, config)
+        for w in caught:
+            sys.stderr.write("warning: %s\n" % w.message)
         config_echo = config.to_dict()
     report = {
         "manifest": _manifest("transversal", inputs=list(args.input),
@@ -413,13 +421,18 @@ def build_parser():
     return parser
 
 
-def _bind_point_values(argv):
-    """'--point -1/2,3/4' -> '--point=-1/2,3/4', which argparse would
-    otherwise read as an option (it only knows plain negative numbers)."""
+def _bind_values(parser, argv):
+    """'--opt -1/2' -> '--opt=-1/2' for every option that takes one value,
+    or any prefix of one, as argparse reads abbreviations."""
+    parsers = [p for a in parser._actions if isinstance(a.choices, dict)
+               for p in a.choices.values()]
+    single = {s for p in parsers for a in p._actions if a.nargs is None
+              for s in a.option_strings}
     out = []
     for arg in argv:
-        if out and out[-1] == "--point" and re.match(r"-[0-9./]", arg):
-            out[-1] = "--point=" + arg
+        prefix = out[-1] if out and len(out[-1]) > 2 else None
+        if prefix and _NEGATIVE_VALUE.match(arg) and any(s.startswith(prefix) for s in single):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -427,7 +440,7 @@ def _bind_point_values(argv):
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(_bind_point_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_bind_values(parser, sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         code = args.func(args)

@@ -37,13 +37,8 @@ class WeightedPointCloud:
 
     Immutable after construction.  ``__init__`` makes the integer forms the
     exact routines use: ``int_weights`` = (D, weights * D), ``int_points`` =
-    (C, points * C), D and C the lcms of their denominators.  The one lazy
-    cache is the angular sweep ``depth`` records for planar region queries
-    (``_direction_table``: the directions in angular order, the blocks of
-    collinear atoms that reverse at each, the levels).  ``transversal.verify``
-    reuses each marginal's table from the common-level search in
-    ``center_point``; two more builds would add about 13% (0.75 ms each on
-    a criterion-9 marginal against 11.2 ms for a whole ``verify``).
+    (C, points * C), D and C the lcms of their denominators.  No routine
+    stores anything on a cloud afterwards.
     """
 
     def __init__(self, dim, atoms):
@@ -69,7 +64,6 @@ class WeightedPointCloud:
         d, (ws,) = _over_lcm([self.weights()])
         self.int_weights = (d, ws)
         self.int_points = _over_lcm(self.points())
-        self._direction_table = None
 
     def __len__(self):
         return len(self.atoms)

@@ -19,6 +19,7 @@ query emits only those.  One clip against the halfplanes of several
 clouds gives the intersection of their regions, and one binary search
 over their finite level set, read off the same sweep, finds the largest
 level at which it is nonempty: for one cloud, the depth of the measure.
+Each query builds the tables it reads and drops them: none is kept on a cloud.
 
 The clip runs in homogeneous integer coordinates: every halfplane is
 rescaled to the common coordinate scale of the clouds, each vertex is
@@ -325,16 +326,13 @@ def _nullspace_direction(rows, dim):
 
 
 @lru_cache(maxsize=8)
-def _sample_directions(dim, samples, seed):
-    """Nonzero integer directions, exactly rescaled seeded Gaussian samples.
-
-    They do not depend on the cloud or the point, so each (dim, samples,
-    seed) builds them once.
-    """
+def _sample_directions(dim):
+    """_BOUND_SAMPLES Gaussian samples (seed _BOUND_SEED + 1), exactly rescaled
+    to nonzero integers; built once per dim, as no cloud or point enters."""
     import numpy as np
 
     out = []
-    for row in np.random.default_rng(seed).standard_normal((samples, dim)):
+    for row in np.random.default_rng(_BOUND_SEED + 1).standard_normal((_BOUND_SAMPLES, dim)):
         _, (v,) = _over_lcm([[Fraction(float(c)) for c in row]])
         if any(v):
             out.append(v)
@@ -365,7 +363,7 @@ def _depth_upper_bound(cloud, x):
         if v is not None:
             candidates.append(v)
             candidates.append(tuple(-c for c in v))
-    candidates.extend(_sample_directions(dim, _BOUND_SAMPLES, _BOUND_SEED + 1))
+    candidates.extend(_sample_directions(dim))
     best = None
     for v in candidates:
         val = at_x + sum(wt for u, wt in offsets if _dot(u, v) >= 0)
@@ -430,7 +428,7 @@ def _angle_sorted(dirs):
 
 
 class _DirectionTable:
-    """Per-cloud angular sweep for planar region queries.
+    """Angular sweep of one planar cloud, built and dropped by each query.
 
     The directions are the normals to atom differences (both
     orientations) and the four axes, sorted once by exact angle from
@@ -456,9 +454,6 @@ class _DirectionTable:
     def __init__(self, cloud):
         if cloud.dim != 2:
             raise DomainError("direction table requires a planar cloud")
-        # no reference back to the cloud, which holds the table: without a
-        # cycle, a dropped cloud frees its table at once, not at the next
-        # collection of the cyclic garbage collector
         self.coord_scale, ipts = cloud.int_points
         self.weight_den, ws = cloud.int_weights
         xs = [p[0] for p in ipts]
@@ -574,12 +569,6 @@ class _DirectionTable:
         return (lo_x * m - scale, lo_y * m - scale, hi_x * m + scale, hi_y * m + scale)
 
 
-def _direction_table(cloud):
-    if cloud._direction_table is None:
-        cloud._direction_table = _DirectionTable(cloud)
-    return cloud._direction_table
-
-
 def _clip_homogeneous(loop, planes):
     """Sutherland-Hodgman clip of a convex loop in homogeneous integers.
 
@@ -617,11 +606,12 @@ def _meet(p, a, b, c):
     return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
-def _region_vertices(clouds, tau):
-    """Intersection of the clouds' superlevel regions at tau, by one clip.
+def _region_vertices(tables, tau):
+    """Intersection of the superlevel regions at tau of the clouds whose
+    direction tables these are, by one clip.
 
     The axis halfplanes keep every region inside its atoms' bounding box,
-    so the first cloud's start box contains the intersection.  All lines
+    so the first table's start box contains the intersection.  All lines
     are rescaled to the common scale of the clouds' coordinates and
     clipped in exact integers; vertices become Fractions only here.  The
     result is the clip's ordered convex loop, () when empty; it may
@@ -629,7 +619,6 @@ def _region_vertices(clouds, tau):
     in canonical form.
     """
     tau = _as_fraction(tau)
-    tables = [_direction_table(c) for c in clouds]
     scale = math.lcm(*(t.coord_scale for t in tables))
     planes = []
     for table in tables:
@@ -657,24 +646,23 @@ def depth_region(cloud, tau):
     tau = _as_fraction(tau)
     if not 0 < tau <= 1:
         raise DomainError("tau must lie in (0, 1]")
-    return DepthRegion(_region_vertices([cloud], tau), tau=tau)
+    return DepthRegion(_region_vertices([_DirectionTable(cloud)], tau), tau=tau)
 
 
-def _deepest_common_region(clouds):
+def _deepest_common_region(tables):
     """(largest level whose regions all meet, their intersection there).
 
-    Binary search over the union of the clouds' levels, top level first;
-    nonemptiness is monotone in the level, so the probe order does not
-    change the answer.  The intersection is the raw loop of
+    The regions are those of the clouds whose direction tables these
+    are.  Binary search over the union of the tables' levels, top level
+    first; nonemptiness is monotone in the level, so the probe order does
+    not change the answer.  The intersection is the raw loop of
     _region_vertices: the search compares levels only, and a caller that
     reports the region wraps it in a DepthRegion.  (0, ()) when even the
     lowest level fails.
     """
-    levels = sorted(
-        {Fraction(lv, t.weight_den) for t in map(_direction_table, clouds) for lv in t.levels}
-    )
+    levels = sorted({Fraction(lv, t.weight_den) for t in tables for lv in t.levels})
     hi = len(levels) - 1
-    best = _region_vertices(clouds, levels[hi])
+    best = _region_vertices(tables, levels[hi])
     if best:
         return levels[hi], best
     # levels[hi] fails and levels[lo] meets (lo = -1: none yet); rounding
@@ -682,7 +670,7 @@ def _deepest_common_region(clouds):
     lo = -1
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2
-        loop = _region_vertices(clouds, levels[mid])
+        loop = _region_vertices(tables, levels[mid])
         if loop:
             lo, best = mid, loop
         else:
@@ -724,7 +712,7 @@ def depth_of_measure(cloud, allow_approximate=False):
         level, (lo, hi) = _interval_1d(cloud)
         return DepthValue(level, None), ((lo + hi) / 2,)
     if cloud.dim == 2:
-        level, loop = _deepest_common_region([cloud])
+        level, loop = _deepest_common_region([_DirectionTable(cloud)])
         if not loop:
             raise InternalConsistencyError("achieved depth level has empty region")
         return DepthValue(level, None), polygon.centroid(loop)
@@ -737,7 +725,7 @@ def depth_of_measure(cloud, allow_approximate=False):
         float(max(p[i] for p in pts) - min(p[i] for p in pts)) for i in range(cloud.dim)
     )
     point, depth = _ascent(
-        [cloud], _mean(cloud), spread / 2 if spread else 1.0, 200, 0.9, 10 ** 9, 0
+        [cloud], _mean(cloud), spread / 2 if spread else 1.0, 200, 0.9, 10 ** 9
     )
     return DepthValue(depth.value, depth.witness_direction, exact=False), point
 
@@ -746,8 +734,8 @@ def _mean(cloud):
     return tuple(sum(p[i] * w for p, w in cloud.atoms) for i in range(cloud.dim))
 
 
-def _ascent(clouds, start, radius, steps, shrink, max_denominator, seed):
-    """Seeded random ascent of the least depth over the clouds.
+def _ascent(clouds, start, radius, steps, shrink, max_denominator):
+    """Random ascent of the least depth over the clouds, from seed 0.
 
     Each step tries a Gaussian move of the current radius, snapped to
     rationals with denominators up to max_denominator, and keeps it only
@@ -761,7 +749,7 @@ def _ascent(clouds, start, radius, steps, shrink, max_denominator, seed):
 
     x = list(start)
     cur = least(x)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(steps):
         delta = rng.standard_normal(len(x))
         cand = [

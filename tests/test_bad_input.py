@@ -24,6 +24,7 @@ import copy
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -417,15 +418,21 @@ def run_argv(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _untimed(err):
+    return re.sub(r"finished in [0-9.]+ s", "finished", err)
+
+
 def assert_argument_rejected(workdir, key, value):
     option = key.split()[-1]
     argv = [a.format(tri=workdir / "tri.json") for a in ARGUMENT_COMMANDS[key]]
-    # "--opt=value", so that argparse reads a leading minus as part of the value
     code, out, err = run_argv(argv + ["%s=%s" % (option, value)])
     assert code == 2, err
     assert out == ""
     assert sum("error: " in line for line in err.splitlines()) == 1, err
     assert "Traceback" not in err
+    # "--opt value" reads the same value, even one that starts with a minus
+    spaced = run_argv(argv + [option, str(value)])
+    assert (spaced[0], spaced[1], _untimed(spaced[2])) == (code, out, _untimed(err))
 
 
 ARGUMENT_CASES = [(key, value) for key, values in ARGUMENT_CATALOGUE.items()

@@ -130,6 +130,13 @@ def test_depth_point_negative_coordinates(capsys, tmp_path):
     assert spelled == out
 
 
+def test_abbreviated_option_reads_a_negative_value(capsys, tmp_path):
+    tri = write_triangle(tmp_path / "tri.json")
+    code, out, err = run_cli(["depth", "--input", tri, "--reg", "-1/3"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: tau must lie in (0, 1]" in err
+
+
 def test_depth_point_profile_needs_planar_cloud(capsys, tmp_path):
     profile = tmp_path / "profile.tsv"
     tri = write_triangle(tmp_path / "tri.json")
@@ -470,6 +477,21 @@ def test_transversal_cli_failed_target_exit_1(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(out)["success"] is False
+
+
+def test_transversal_below_the_bound_warns_in_one_line(capsys, tmp_path, recwarn):
+    tri = write_triangle(tmp_path / "tri.json")
+    code, out, err = run_cli(
+        ["transversal", "--input", tri, "--restarts", "1", "--local-steps", "0"], capsys
+    )
+    assert code == 1  # the triangle's depth 1/3 is below the improved bound
+    assert json.loads(out)["success"] is False
+    assert err.splitlines()[0] == (
+        "warning: ambient dimension 2 is below the guaranteed bound 3 for m=1, n=2"
+    )
+    assert len(err.splitlines()) == 2  # and the timing line
+    assert "UserWarning" not in err
+    assert not recwarn.list  # printed, not passed on as a Python warning
 
 
 @pytest.mark.parametrize(

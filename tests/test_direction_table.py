@@ -21,7 +21,7 @@ from centertrans.cloud import WeightedPointCloud
 from centertrans.depth import (
     DepthRegion,
     _angle_sorted,
-    _direction_table,
+    _DirectionTable,
     _region_vertices,
     depth_of_measure,
 )
@@ -47,12 +47,13 @@ def probe_levels(clouds):
 
 
 def assert_matches_reference(clouds):
-    for c in clouds:
-        table, ref = _direction_table(c), ReferenceTable(c)
+    tables = [_DirectionTable(c) for c in clouds]
+    for c, table in zip(clouds, tables):
+        ref = ReferenceTable(c)
         assert sorted(table.directions) == ref.directions
         assert table.levels == ref.levels
     for tau in probe_levels(clouds):
-        raw = _region_vertices(clouds, tau)
+        raw = _region_vertices(tables, tau)
         canonical = polygon.normalize(raw)
         assert canonical == reference_region(clouds, tau), tau
         # only DepthRegion canonicalizes: it must, and exact centroids
@@ -106,8 +107,9 @@ def test_seeded_joint_regions_match_reference():
     for _ in range(15):
         clouds = [grid_cloud(rng, int(rng.integers(1, 8))) for _ in range(int(rng.integers(2, 4)))]
         assert_matches_reference(clouds)
+        tables = [_DirectionTable(c) for c in clouds]
         kinds.update(
-            min(len(polygon.normalize(_region_vertices(clouds, t))), 3)
+            min(len(polygon.normalize(_region_vertices(tables, t))), 3)
             for t in reference_levels(clouds)
         )
     assert kinds == {0, 1, 2, 3}
@@ -120,7 +122,7 @@ def test_generated_cloud_matches_reference():
 def test_run_ends_prune_most_planes():
     c = generate_cloud("gaussian-quantized", seed=102, atoms=50, dim=2)
     level = depth_of_measure(c)[0].value
-    table = _direction_table(c)
+    table = _DirectionTable(c)
     planes = table.halfplanes(level, table.coord_scale)
     assert 5 * len(planes) < len(table.directions)
 

@@ -22,7 +22,7 @@ from centertrans.centers import INSUFFICIENT, SUFFICIENT, center_point
 from centertrans.cloud import OrthoFrame, WeightedPointCloud
 from centertrans.depth import (
     _deepest_common_region,
-    _direction_table,
+    _DirectionTable,
     _region_vertices,
     depth_of_measure,
     depth_region,
@@ -68,14 +68,18 @@ def quantized_marginal(rng, n_atoms):
     return marginal(c, OrthoFrame(q.T.tolist()))
 
 
+def tables(clouds):
+    return [_DirectionTable(c) for c in clouds]
+
+
 def joint_region(clouds, tau):
     """The kernel's region at tau, in canonical form."""
-    return polygon.normalize(_region_vertices(clouds, tau))
+    return polygon.normalize(_region_vertices(tables(clouds), tau))
 
 
 def deepest(clouds):
     """The shared level search, with its region in canonical form."""
-    level, loop = _deepest_common_region(clouds)
+    level, loop = _deepest_common_region(tables(clouds))
     return level, polygon.normalize(loop)
 
 
@@ -94,9 +98,7 @@ def folded(clouds, tau):
 
 
 def union_levels(clouds):
-    return sorted(
-        {F(lv, _direction_table(c).weight_den) for c in clouds for lv in _direction_table(c).levels}
-    )
+    return sorted({F(lv, t.weight_den) for t in tables(clouds) for lv in t.levels})
 
 
 def brute_deepest(clouds):
@@ -156,7 +158,7 @@ def test_single_cloud_region_is_the_depth_region():
     rng = np.random.default_rng(5)
     for _ in range(6):
         c = random_cloud(rng, int(rng.integers(1, 9)))
-        level, loop = _deepest_common_region([c])
+        level, loop = _deepest_common_region(tables([c]))
         dv, point = depth_of_measure(c)
         assert level == dv.value
         assert polygon.normalize(loop) == depth_region(c, level).vertices
@@ -166,8 +168,8 @@ def test_single_cloud_region_is_the_depth_region():
 def test_disjoint_hulls_fall_back_to_the_first_mean():
     near = cloud([(0, 0), (1, 0), (0, 1)], [F(1, 2), F(1, 4), F(1, 4)])
     far = cloud([(10, 10), (11, 10), (10, 11)])
-    assert _deepest_common_region([near, far]) == (F(0), ())
-    assert _common_level([near, far]) == (F(0), (F(1, 4), F(1, 4)))
+    assert _deepest_common_region(tables([near, far])) == (F(0), ())
+    assert _common_level(tables([near, far]), [near, far]) == (F(0), (F(1, 4), F(1, 4)))
 
 
 def test_center_point_does_not_call_depth_of_measure(monkeypatch):

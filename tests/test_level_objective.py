@@ -15,7 +15,9 @@ import pytest
 
 from centertrans import transversal
 from centertrans.cloud import OrthoFrame, WeightedPointCloud
-from centertrans.depth import _deepest_common_region, _sample_directions, marginal, tukey_depth
+from centertrans.depth import (
+    _deepest_common_region, _DirectionTable, _sample_directions, marginal, tukey_depth,
+)
 from centertrans.errors import InternalConsistencyError
 from centertrans.generators import generate_cloud, maintheorem_suite
 from centertrans.transversal import (
@@ -39,7 +41,7 @@ def _axis_frame(ambient):
 
 
 def _level(frame, clouds):
-    return _deepest_common_region([marginal(c, frame) for c in clouds])[0]
+    return _deepest_common_region([_DirectionTable(marginal(c, frame)) for c in clouds])[0]
 
 
 @pytest.mark.parametrize("name", ["criterion-9 pair 1", "far apart"])
@@ -110,8 +112,8 @@ def test_verify_raises_when_least_depth_is_not_the_level(monkeypatch):
     assert verify(frame, clouds, 2).objective == _level(frame, clouds)
     common_level = transversal._common_level
 
-    def off_by_one_step(marginals):
-        level, witness = common_level(marginals)
+    def off_by_one_step(tables, marginals):
+        level, witness = common_level(tables, marginals)
         return level + F(1, 10 ** 6), witness
 
     monkeypatch.setattr(transversal, "_common_level", off_by_one_step)

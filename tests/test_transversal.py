@@ -73,9 +73,10 @@ def test_objective_coplanar_support_matches_in_plane():
     a4, b4 = embedded(a2, 4), embedded(b2, 4)
     value, witness = objective(frame, [a4, b4], 2)
     # recompute entirely in the plane
+    from centertrans.depth import _DirectionTable
     from centertrans.transversal import _common_level
 
-    level, w2 = _common_level([a2, b2])
+    level, w2 = _common_level([_DirectionTable(a2), _DirectionTable(b2)], [a2, b2])
     from centertrans.depth import tukey_depth
 
     in_plane = min(tukey_depth(a2, w2).value, tukey_depth(b2, w2).value)
@@ -209,10 +210,10 @@ def test_report_serialization_shape():
 
 def test_monotone_feasibility_of_levels():
     a2, b2 = planar_cloud(seed=31), planar_cloud(seed=32)
-    from centertrans.depth import depth_region
+    from centertrans.depth import _DirectionTable, depth_region
     from centertrans.transversal import _common_level
 
-    level, witness = _common_level([a2, b2])
+    level, witness = _common_level([_DirectionTable(a2), _DirectionTable(b2)], [a2, b2])
     assert level > 0
     for frac in (F(1, 2), F(3, 4)):
         lower = level * frac
