@@ -7,7 +7,7 @@ import importlib
 # Every re-exported name and the module it lives in.  Importing the
 # package loads none of them: a name, or a module named here, resolves on
 # first access (PEP 562), so a process pays only for the modules it uses
-# (simplex and transversal also import numpy).
+# (simplex imports numpy, and transversal only when it draws frames).
 _LAZY = {
     "thresholds": "bounds",
     "min_dimension": "bounds",

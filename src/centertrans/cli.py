@@ -7,8 +7,8 @@ seeds and inputs rerun to byte-identical report files.  Exit codes:
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads (and, without cached bytecode, compiles) only those: ``bounds``
-needs no kernel at all, and only ``gen``, ``simplex`` and
-``transversal`` load numpy.
+needs no kernel at all, and only ``gen``, ``simplex`` and the
+``transversal`` search load numpy (``--frame`` verifies without it).
 """
 
 import argparse

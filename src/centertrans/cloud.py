@@ -5,9 +5,13 @@ summing to one.  All depth computations downstream are exact, which
 relies on the invariants enforced here.  Frames carry real-valued rows;
 they are quantized to rationals (12 decimal digits) when a frame is
 built, so numerically produced subspaces still feed exact arithmetic.
+Frame floats (the Gram check and projector here, the orthonormalization
+and moves of ``transversal``) are plain Python in a fixed order, each sum
+rounded once by ``dot``: the same rows give the same bits on every CPU.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError
@@ -145,6 +149,11 @@ def apply_affine(cloud, matrix, shift=None):
     return WeightedPointCloud(out_dim, atoms)
 
 
+def dot(a, b):
+    """Sum of the products a[i] * b[i], rounded once (``math.fsum``)."""
+    return math.fsum(map(operator.mul, a, b))
+
+
 def quantize_entry(value):
     """Exact rational for a frame entry; floats round at 10^-12."""
     if isinstance(value, Fraction):
@@ -163,8 +172,6 @@ class OrthoFrame:
     """
 
     def __init__(self, rows, tolerance=1e-9):
-        import numpy as np
-
         rows = tuple(tuple(r) for r in rows)
         if not rows:
             raise DomainError("frame needs at least one row")
@@ -177,11 +184,14 @@ class OrthoFrame:
         # a NaN or infinite tolerance would pass any Gram defect
         if not math.isfinite(tolerance) or tolerance < 0:
             raise DomainError("tolerance must be finite and >= 0, got %r" % (tolerance,))
-        g = np.array([[float(x) for x in r] for r in rows], dtype=float)
-        if not np.isfinite(g).all():
+        g = [[float(x) for x in r] for r in rows]
+        if not all(math.isfinite(x) for r in g for x in r):
             raise DomainError("frame rows must be finite numbers")
-        gram = g @ g.T
-        defect = float(np.max(np.abs(gram - np.eye(len(rows)))))
+        try:
+            defect = max(abs(dot(a, b) - (i == j))
+                         for i, a in enumerate(g) for j, b in enumerate(g))
+        except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+            defect = math.inf
         if defect > max(tolerance, 1e-15):
             raise DomainError(
                 "rows are not orthonormal: Gram defect %.3e > tolerance %.3e"
@@ -196,15 +206,10 @@ class OrthoFrame:
     def n(self):
         return len(self.rows)
 
-    def as_array(self):
-        import numpy as np
-
-        return np.array([[float(x) for x in r] for r in self.rows], dtype=float)
-
     def projector(self):
-        """Basis-free N x N projector onto the subspace."""
-        g = self.as_array()
-        return g.T @ g
+        """Basis-free N x N projector onto the subspace, as lists of floats."""
+        cols = list(zip(*([float(x) for x in r] for r in self.rows)))
+        return [[dot(a, b) for b in cols] for a in cols]
 
     def to_dict(self):
         return {

@@ -53,6 +53,8 @@ from .serialize import frac_str
 _BOUND_SAMPLES = 512
 _BOUND_SUBSET_CAP = 2000
 _BOUND_SEED = 0
+# the n >= 3 ascent: first radius, steps, shrink on rejection, denominator bound
+_ASCENT_RADIUS, _ASCENT_STEPS, _ASCENT_SHRINK, _ASCENT_DENOMINATOR = 1.0, 60, 0.85, 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -702,12 +704,8 @@ def _interval_1d(cloud, level=None):
     return level, (lo, hi)
 
 
-def depth_of_measure(cloud, allow_approximate=False):
-    """(max point depth, a maximizing point); exact for dim <= 2.
-
-    Higher dimensions use the heuristic ascent with seed 0 and must be
-    requested explicitly via allow_approximate.
-    """
+def depth_of_measure(cloud):
+    """(max point depth, a maximizing point), exact; dim 1 and 2 only."""
     if cloud.dim == 1:
         level, (lo, hi) = _interval_1d(cloud)
         return DepthValue(level, None), ((lo + hi) / 2,)
@@ -716,31 +714,20 @@ def depth_of_measure(cloud, allow_approximate=False):
         if not loop:
             raise InternalConsistencyError("achieved depth level has empty region")
         return DepthValue(level, None), polygon.centroid(loop)
-    if not allow_approximate:
-        raise DomainError(
-            "exact depth of a measure is only available in dimensions 1 and 2"
-        )
-    pts = cloud.points()
-    spread = max(
-        float(max(p[i] for p in pts) - min(p[i] for p in pts)) for i in range(cloud.dim)
-    )
-    point, depth = _ascent(
-        [cloud], _mean(cloud), spread / 2 if spread else 1.0, 200, 0.9, 10 ** 9
-    )
-    return DepthValue(depth.value, depth.witness_direction, exact=False), point
+    raise DomainError("exact depth of a measure is only available in dimensions 1 and 2")
 
 
 def _mean(cloud):
     return tuple(sum(p[i] * w for p, w in cloud.atoms) for i in range(cloud.dim))
 
 
-def _ascent(clouds, start, radius, steps, shrink, max_denominator):
+def _ascent(clouds, start):
     """Random ascent of the least depth over the clouds, from seed 0.
 
     Each step tries a Gaussian move of the current radius, snapped to
-    rationals with denominators up to max_denominator, and keeps it only
-    if the least exact depth strictly rises; a rejected move shrinks the
-    radius by shrink.  Returns (point, the minimising DepthValue there).
+    rationals of bounded denominator, and keeps it only if the least exact
+    depth strictly rises; a rejected move shrinks the radius.  Returns
+    (point, the minimising DepthValue there).
     """
     import numpy as np
 
@@ -749,18 +736,19 @@ def _ascent(clouds, start, radius, steps, shrink, max_denominator):
 
     x = list(start)
     cur = least(x)
+    radius = _ASCENT_RADIUS
     rng = np.random.default_rng(0)
-    for _ in range(steps):
+    for _ in range(_ASCENT_STEPS):
         delta = rng.standard_normal(len(x))
         cand = [
-            xi + Fraction(float(d * radius)).limit_denominator(max_denominator)
+            xi + Fraction(float(d * radius)).limit_denominator(_ASCENT_DENOMINATOR)
             for xi, d in zip(x, delta)
         ]
         val = least(cand)
         if val.value > cur.value:
             x, cur = cand, val
         else:
-            radius *= shrink
+            radius *= _ASCENT_SHRINK
     return tuple(x), cur
 
 

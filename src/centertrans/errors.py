@@ -13,7 +13,7 @@ class OriginNotInteriorError(DegeneracyError):
     """The origin is not in the relative interior of the vertex hull."""
 
 
-class SurrogateUnavailableError(RuntimeError):
+class SurrogateUnavailableError(DegeneracyError):
     """The sector-barycenter vertex surrogate failed for every sector offset."""
 
 

@@ -260,7 +260,7 @@ def witness_vertices(cloud, force=False):
     report = center_point(cloud, n)
     if report.classification != INSUFFICIENT and not force:
         raise DomainError(
-            "measure has sufficient depth; pass force=True to build a tuple anyway"
+            "measure has sufficient depth; pass --force (force=True) to build a tuple anyway"
         )
     c = np.array([float(x) for x in report.c])
     pts = np.array([[float(x) for x in p] for p in cloud.points()]) - c

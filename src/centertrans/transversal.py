@@ -19,22 +19,23 @@ Restarts run one after another.  Each draws its randomness from its own
 child of the master seed, the search stops at the first restart that
 reaches the target, and otherwise reports the best objective with the
 lowest index, so identical seeds and inputs give identical reports.
-For n >= 3 the witness comes from the seeded ascent of ``depth`` and the
-report is flagged approximate.
+Frames are built and moved in plain Python, each sum rounded once by
+``cloud.dot``, so the reports do not depend on the BLAS kernel either:
+numpy only draws the seeded normals.  For n >= 3 the witness comes from
+the seeded ascent of ``depth`` and the report is flagged approximate.
 """
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import polygon
 from .bounds import min_dimension, thresholds
 from .centers import _planar_center, center_point
-from .cloud import OrthoFrame, _as_fraction
+from .cloud import OrthoFrame, _as_fraction, dot
 from .depth import _ascent, _deepest_common_region, _DirectionTable, _mean, marginal, tukey_depth
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
@@ -107,7 +108,9 @@ class TransversalReport:
 
 
 def random_frame(ambient, n, seed):
-    """Seeded orthonormal frame: QR of a Gaussian sample, signs fixed."""
+    """Orthonormalized Gaussian frame; seed is a seed or a numpy Generator."""
+    import numpy as np
+
     if not 1 <= n <= ambient:
         raise DomainError("need 1 <= n <= ambient")
     rng = np.random.default_rng(seed)
@@ -115,10 +118,20 @@ def random_frame(ambient, n, seed):
 
 
 def _orthonormalize(g):
-    q, r = np.linalg.qr(g.T)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return tuple(tuple(col) for col in (q * signs).T)
+    """Rows of Q^T for g^T = QR, R's diagonal positive: Gram-Schmidt with each
+    projection taken out twice (once loses orthogonality on ill-conditioned g)."""
+    q = ()
+    for v in g:
+        v = _without(_without([float(x) for x in v], q), q)
+        norm = math.sqrt(dot(v, v))
+        q += (tuple(x / norm for x in v),)
+    return q
+
+
+def _without(v, rows):
+    """v less its projection onto the span of the orthonormal rows."""
+    coeffs = [dot(r, v) for r in rows]
+    return [x - dot(coeffs, [r[k] for r in rows]) for k, x in enumerate(v)]
 
 
 def _common_level(tables, marginals):
@@ -142,9 +155,8 @@ def _objective_parts(frame, clouds, n):
     if n == 2:
         level, witness = _common_level(tables, marginals)
     else:
-        means = [_mean(m) for m in marginals]
-        start = [sum(c) / len(means) for c in zip(*means)]
-        witness, _ = _ascent(marginals, start, 1.0, 60, 0.85, 10 ** 6)
+        start = [sum(c) / len(marginals) for c in zip(*map(_mean, marginals))]
+        witness, _ = _ascent(marginals, start)
     per = tuple(tukey_depth(m, witness).value for m in marginals)
     if n == 2 and min(per) != level:
         raise InternalConsistencyError(
@@ -167,8 +179,7 @@ def objective(frame, clouds, n):
 def _check_clouds(frame, clouds):
     if not clouds:
         raise DomainError("need at least one cloud")
-    dims = {c.dim for c in clouds}
-    if len(dims) != 1:
+    if len({c.dim for c in clouds}) != 1:
         raise DomainError("clouds must share one ambient dimension")
     if frame is not None and frame.ambient != clouds[0].dim:
         raise DomainError("frame ambient does not match the clouds")
@@ -219,15 +230,12 @@ def verify(frame, clouds, n, target=None):
     )
 
 
-@dataclass
-class _RestartResult:
-    index: int
-    objective: Fraction
-    frame: OrthoFrame
-    success: bool
+_RestartResult = namedtuple("_RestartResult", "index objective frame success")
 
 
 def _run_restart(index, seed, clouds, n, target, config):
+    import numpy as np
+
     def value(frame):
         # for n = 2 the objective is the common level: no witness needed
         if n == 2:
@@ -235,26 +243,22 @@ def _run_restart(index, seed, clouds, n, target, config):
         return _objective_parts(frame, clouds, n)[0]
 
     rng = np.random.default_rng(seed)
-    ambient = clouds[0].dim
-    rows = _orthonormalize(rng.standard_normal((n, ambient)))
-    frame = OrthoFrame(rows)
+    frame = random_frame(clouds[0].dim, n, rng)
     best_val = value(frame)
     angle = config.initial_angle
     step = 0
     while step < config.local_steps and best_val < target:
         step += 1
-        arr = frame.as_array()
+        rows = frame.rows
         row = int(rng.integers(n))
-        d = rng.standard_normal(ambient)
-        d -= arr.T @ (arr @ d)
-        nrm = float(np.linalg.norm(d))
+        d = _without(rng.standard_normal(frame.ambient).tolist(), rows)
+        nrm = math.sqrt(dot(d, d))
         if nrm < 1e-9:
             continue
-        d /= nrm
-        new = arr.copy()
-        new[row] = math.cos(angle) * arr[row] + math.sin(angle) * d
-        new[row] /= np.linalg.norm(new[row])
-        cand = OrthoFrame(tuple(tuple(r) for r in new))
+        cos, sin = math.cos(angle), math.sin(angle)
+        turned = [cos * a + sin * (b / nrm) for a, b in zip(rows[row], d)]
+        nrm = math.sqrt(dot(turned, turned))
+        cand = OrthoFrame(rows[:row] + (tuple(x / nrm for x in turned),) + rows[row + 1:])
         val = value(cand)
         if val > best_val:
             frame, best_val = cand, val
@@ -287,6 +291,8 @@ def search(clouds, n, config=None):
             % (ambient, needed, len(clouds), n),
             stacklevel=2,
         )
+    import numpy as np
+
     seeds = np.random.SeedSequence(config.master_seed).spawn(config.restarts)
     best = None
     trajectory = []

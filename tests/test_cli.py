@@ -324,6 +324,16 @@ def test_simplex_malformed_vertices_exit_2(capsys, tmp_path, vertices):
     _assert_bad_input(["simplex", "--vertices", str(vfile)], capsys)
 
 
+def test_simplex_sufficient_cloud_names_force_flag(capsys, tmp_path):
+    # one atom has depth 1: its measure is sufficient, so no surrogate
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"dim": 2, "atoms": [{"x": ["0", "0"], "w": "1"}]}))
+    error = _assert_bad_input(["simplex", "--input", str(path)], capsys)
+    assert "--force" in error
+    code, out, _ = run_cli(["simplex", "--input", str(path), "--force"], capsys)
+    assert code == 2 and out == ""  # one atom spans no sector: still no tuple
+
+
 def test_simplex_surrogate_from_cloud(capsys, tmp_path):
     code, out, _ = run_cli(
         [
@@ -501,9 +511,11 @@ def test_transversal_below_the_bound_warns_in_one_line(capsys, tmp_path, recwarn
      # a rank-1 frame: only a finite tolerance catches its Gram defect of 1
      {"rows": [[1, 0], [1, 0]], "tolerance": float("nan")},
      {"rows": [[1, 0], [1, 0]], "tolerance": float("inf")},
-     {"rows": [[True, 0], [0, 1]]}],
+     {"rows": [[True, 0], [0, 1]]},
+     # finite entries whose Gram sums leave the float range
+     {"rows": [[1e200, 1e200], [1e200, -1e200]]}, {"rows": [[1e154, 1e154], [0, 1]]}],
     ids=["entry", "tolerance", "rows", "nan entry", "infinite entry",
-         "nan tolerance", "infinite tolerance", "boolean entry"],
+         "nan tolerance", "infinite tolerance", "boolean entry", "inf - inf", "sum overflow"],
 )
 def test_transversal_malformed_frame_exit_2(capsys, tmp_path, frame):
     cloud = write_triangle(tmp_path / "tri.json")
@@ -587,6 +599,8 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
     tet = write_tetrahedron(tmp_path / "tet.json")
     broken = tmp_path / "broken.json"
     broken.write_text('{"dim": 2, "atoms": [')
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"ambient": 2, "rows": [[0.6, 0.8], [-0.8, 0.6]]}))
     # (argv, exit code, modules loaded); None imports only the package and
     # [] only the CLI module
     cases = [
@@ -604,6 +618,9 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
         (["depth", "--input", tri, "--region", "1/3"], 0, DEPTH_KERNEL),
         (["depth", "--input", tri], 0, DEPTH_KERNEL),
         (["center", "--input", tri], 0, DEPTH_KERNEL + ["centers"]),
+        # verifying a given frame draws nothing
+        (["transversal", "--input", tri, "--frame", str(plane)], 1,
+         DEPTH_KERNEL + ["centers", "transversal"]),
         # bad input exits before the depth kernel is imported
         (["depth", "--input", str(broken)], 2, CLI_CORE + ["cloud"]),
         (["center", "--input", str(broken)], 2, CLI_CORE + ["cloud"]),

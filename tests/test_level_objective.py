@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from centertrans import transversal
-from centertrans.cloud import OrthoFrame, WeightedPointCloud
+from centertrans.cloud import OrthoFrame, WeightedPointCloud, dot
 from centertrans.depth import (
     _deepest_common_region, _DirectionTable, _sample_directions, marginal, tukey_depth,
 )
@@ -69,18 +69,19 @@ def _oracle_restart(seed, clouds, n, target, config):
     step = accepted = 0
     while step < config.local_steps and best_val < target:
         step += 1
-        arr = frame.as_array()
+        rows = [list(r) for r in frame.rows]
         row = int(rng.integers(n))
-        d = rng.standard_normal(ambient)
-        d -= arr.T @ (arr @ d)
-        nrm = float(np.linalg.norm(d))
+        d = rng.standard_normal(ambient).tolist()
+        coeffs = [dot(r, d) for r in rows]
+        d = [x - dot(coeffs, [r[k] for r in rows]) for k, x in enumerate(d)]
+        nrm = math.sqrt(dot(d, d))
         if nrm < 1e-9:
             continue
-        d /= nrm
-        new = arr.copy()
-        new[row] = math.cos(angle) * arr[row] + math.sin(angle) * d
-        new[row] /= np.linalg.norm(new[row])
-        cand = OrthoFrame(tuple(tuple(r) for r in new))
+        d = [x / nrm for x in d]
+        rows[row] = [math.cos(angle) * a + math.sin(angle) * b for a, b in zip(rows[row], d)]
+        nrm = math.sqrt(dot(rows[row], rows[row]))
+        rows[row] = [x / nrm for x in rows[row]]
+        cand = OrthoFrame(tuple(tuple(r) for r in rows))
         val = _objective_parts(cand, clouds, n)[0]
         if val > best_val:
             frame, best_val = cand, val

@@ -44,13 +44,13 @@ def test_random_frame_determinism_and_gram():
     assert random_frame(5, 2, 43).rows != f1.rows
     for seed in range(100):
         f = random_frame(6, 3, seed)
-        g = f.as_array()
+        g = np.array(f.rows)
         assert np.max(np.abs(g @ g.T - np.eye(3))) <= 1e-12
 
 
 def test_random_frame_full_basis_and_errors():
     f = random_frame(3, 3, 0)
-    g = f.as_array()
+    g = np.array(f.rows)
     assert np.max(np.abs(g @ g.T - np.eye(3))) <= 1e-12
     with pytest.raises(DomainError):
         random_frame(2, 3, 0)
