@@ -12,7 +12,8 @@ halfplanes normal to atom differences (plus the coordinate axes, which
 keep degenerate clouds bounded).  One angular sweep per cloud
 (_DirectionTable, the rotating line of Ruts & Rousseeuw 1996) sorts
 these normals once by exact angle and records how the projection order
-of the atoms changes between them: collinear atoms reverse a block.
+of the atoms changes between them: collinear atoms reverse a block, and
+two atoms on a line through no third one swap adjacent ranks.
 Between changes the threshold line at level tau turns about one atom,
 so of each such run of directions only the two ends can bind, and a
 query emits only those.  One clip against the halfplanes of several
@@ -438,7 +439,9 @@ class _DirectionTable:
     atoms by projection is constant.  At a direction, the atoms on one
     line normal to it form a contiguous block of that order, and passing
     the direction reverses the block.  The sweep records each reversed
-    block with its new atoms and prefix weights.  The levels are the
+    block with its new atoms and prefix weights.  Most blocks hold two
+    atoms, on a line through no third one: the sweep swaps their adjacent
+    ranks in place and recomputes one prefix weight.  The levels are the
     prefix weights of every order it passes through: two consecutive
     directions are never parallel, so each rank of an order ends a tie
     group at one of the two directions around it, where its prefix
@@ -502,6 +505,24 @@ class _DirectionTable:
         # the sweep starts just after (1, 0), so index 0 is not replayed
         for d, v in enumerate(self.directions[1:], 1):
             for atoms in ties.get(v, ()):
+                if len(atoms) == 2:
+                    # two atoms swap adjacent ranks s and t = s + 1, so only
+                    # prefix[s] changes: prefix[t] still sums the same atoms
+                    a, b = atoms
+                    s, t = pos[a], pos[b]
+                    if s > t:
+                        s, t, a, b = t, s, b, a
+                    if t != s + 1:
+                        raise InternalConsistencyError("tied atoms are not contiguous")
+                    order[s], order[t] = b, a
+                    pos[a], pos[b] = t, s
+                    p = prefix[s] = (prefix[s - 1] if s else 0) + weights[b]
+                    levels.add(p)
+                    block = (s, (b, a), (p, prefix[t]))
+                    for r in (s, t):
+                        events[r].append(d)
+                        blocks[r].append(block)
+                    continue
                 ranks = [pos[a] for a in atoms]
                 s, e = min(ranks), max(ranks) + 1
                 if e - s != len(atoms):

@@ -1,19 +1,26 @@
-"""The per-direction table that the angular sweep of depth._DirectionTable replaced.
+"""Test-only references for depth._DirectionTable.
 
-For every direction normal to an atom difference (both orientations,
-plus the coordinate axes) the atom projections are sorted with
-cumulative integer weights, so the threshold at any level is a binary
-search and every direction gives one halfplane.  That is O(k^3) time and
-memory for k atoms; the tests use it as the oracle for the sweep's
-levels, its pruned halfplanes and the regions they cut out.
+ReferenceTable is the per-direction table that the angular sweep
+replaced.  For every direction normal to an atom difference (both
+orientations, plus the coordinate axes) the atom projections are sorted
+with cumulative integer weights, so the threshold at any level is a
+binary search and every direction gives one halfplane.  That is O(k^3)
+time and memory for k atoms; the tests use it as the oracle for the
+sweep's levels, its pruned halfplanes and the regions they cut out.
+
+reference_sweep is the sweep as first written, which rebuilds every
+reversed block by slicing, two atoms too.  The tests compare the table's
+fields to it exactly.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from types import SimpleNamespace
 
 from centertrans import polygon
-from centertrans.depth import _primitive
+from centertrans.depth import _angle_sorted, _canonical_line, _primitive
+from centertrans.errors import InternalConsistencyError
 
 
 class ReferenceTable:
@@ -109,3 +116,69 @@ def reference_region(clouds, tau):
     lo_x, lo_y, hi_x, hi_y = (Fraction(v, scale) for v in tables[0].start_box(scale))
     box = ((lo_x, lo_y), (hi_x, lo_y), (hi_x, hi_y), (lo_x, hi_y))
     return polygon.normalize(polygon.clip_many(box, planes))
+
+
+def reference_sweep(cloud):
+    """Every field of _DirectionTable(cloud), built the first way."""
+    coord_scale, ipts = cloud.int_points
+    weight_den, ws = cloud.int_weights
+    xs = [p[0] for p in ipts]
+    ys = [p[1] for p in ipts]
+    bounds = (min(xs), min(ys), max(xs), max(ys))
+    mass = {}
+    for pt, w in zip(ipts, ws):
+        mass[pt] = mass.get(pt, 0) + w
+    pts = sorted(mass, reverse=True)
+    weights = [mass[p] for p in pts]
+    lines = {}
+    for i, j in combinations(range(len(pts)), 2):
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        nx, ny = _canonical_line((by - ay, ax - bx))
+        key = (nx, ny, nx * ax + ny * ay)
+        if key in lines:
+            lines[key].update((i, j))
+        else:
+            lines[key] = {i, j}
+    ties = {}
+    for (nx, ny, _), atoms in lines.items():
+        ties.setdefault((nx, ny), []).append(atoms)
+    ties.update({(-nx, -ny): g for (nx, ny), g in list(ties.items())})
+    directions = _angle_sorted(set(ties) | {(1, 0), (0, 1), (-1, 0), (0, -1)})
+    axes = tuple(directions.index(a) for a in ((0, 1), (-1, 0), (0, -1))) + (len(directions),)
+    order = list(range(len(pts)))
+    pos = list(range(len(pts)))
+    prefix = list(accumulate(weights))
+    initial_prefix = tuple(prefix)
+    levels = set(prefix)
+    events = [[] for _ in pts]
+    blocks = [[] for _ in pts]
+    for d, v in enumerate(directions[1:], 1):
+        for atoms in ties.get(v, ()):
+            ranks = [pos[a] for a in atoms]
+            s, e = min(ranks), max(ranks) + 1
+            if e - s != len(atoms):
+                raise InternalConsistencyError("tied atoms are not contiguous")
+            seg = order[s:e][::-1]
+            order[s:e] = seg
+            run = prefix[s - 1] if s else 0
+            for r, a in enumerate(seg, s):
+                pos[a] = r
+                run += weights[a]
+                prefix[r] = run
+            block = (s, tuple(seg), tuple(prefix[s:e]))
+            levels.update(block[2])
+            for r in range(s, e):
+                events[r].append(d)
+                blocks[r].append(block)
+    return SimpleNamespace(
+        coord_scale=coord_scale,
+        weight_den=weight_den,
+        bounds=bounds,
+        directions=directions,
+        levels=sorted(levels),
+        _points=pts,
+        _axes=axes,
+        _initial_prefix=initial_prefix,
+        _events=events,
+        _blocks=blocks,
+    )

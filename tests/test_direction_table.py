@@ -1,10 +1,12 @@
-"""The angular sweep of depth._DirectionTable against the per-direction table.
+"""The angular sweep of depth._DirectionTable against its references.
 
 reference_table.ReferenceTable sorts every atom for every direction and
 keeps one halfplane per direction.  The sweep must give the same
-directions and levels, and its run ends must cut out the same canonical
-region at every level, for one cloud and for the joint region of
-several clouds.
+directions, in exact angular order, and the same levels, and its run
+ends must cut out the same canonical region at every level, for one
+cloud and for the joint region of several clouds.
+reference_table.reference_sweep is the sweep as first written; every
+field of the table must equal it exactly.
 """
 
 import math
@@ -26,7 +28,7 @@ from centertrans.depth import (
     depth_of_measure,
 )
 from centertrans.generators import generate_cloud
-from reference_table import ReferenceTable, reference_levels, reference_region
+from reference_table import ReferenceTable, reference_levels, reference_region, reference_sweep
 
 F = Fraction
 
@@ -51,6 +53,7 @@ def assert_matches_reference(clouds):
     for c, table in zip(clouds, tables):
         ref = ReferenceTable(c)
         assert sorted(table.directions) == ref.directions
+        assert table.directions == _angle_sorted(set(table.directions))
         assert table.levels == ref.levels
     for tau in probe_levels(clouds):
         raw = _region_vertices(tables, tau)
@@ -70,6 +73,7 @@ CASES = {
     "one rational atom": cloud([(F(1, 2), F(-3, 7))]),
     "two atoms": cloud([(0, 0), (1, 2)], [1, 3]),
     "horizontal pair": cloud([(0, 0), (3, 0)]),
+    "three on the x axis": cloud([(0, 0), (1, 0), (5, 0)], [1, 2, 1]),
     "vertical pair": cloud([(1, -2), (1, 5)], [2, 1]),
     "duplicate atoms": cloud([(0, 0), (0, 0), (1, 1)], [1, 2, 3]),
     "one point thrice": cloud([(1, 2), (1, 2), (1, 2)]),
@@ -166,3 +170,76 @@ def near_parallel_vectors():
 @given(dirs=near_parallel_vectors())
 def test_angle_sort_is_exact(dirs):
     assert _angle_sorted(dirs) == sorted(dirs, key=cmp_to_key(exact_angle_order))
+
+
+TABLE_FIELDS = (
+    "coord_scale", "weight_den", "bounds", "directions", "levels",
+    "_points", "_axes", "_initial_prefix", "_events", "_blocks",
+)
+
+
+def block_sizes(table):
+    return {len(block[1]) for blocks in table._blocks for block in blocks}
+
+
+def assert_matches_sweep(c):
+    table, ref = _DirectionTable(c), reference_sweep(c)
+    for field in TABLE_FIELDS:
+        assert getattr(table, field) == getattr(ref, field), field
+    return table
+
+
+SWEEP_CASES = {
+    "one atom": cloud([(0, 0)]),
+    "two atoms on an axis": cloud([(0, -1), (0, 4)], [3, 1]),
+    "duplicate atoms": CASES["duplicate atoms"],
+    "six on a vertical line": cloud([(2, y) for y in (-3, -1, 0, 2, 5, 6)], [1, 2, 3, 1, 2, 3]),
+    "five on a diagonal": cloud([(t, -t) for t in range(-2, 3)], [2, 1, 1, 3, 1]),
+    "5x5 grid": CASES["5x5 grid"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_named_clouds_match_sweep(name):
+    assert_matches_sweep(SWEEP_CASES[name])
+
+
+def test_seeded_grid_clouds_match_sweep():
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        assert_matches_sweep(grid_cloud(rng, int(rng.integers(1, 13))))
+
+
+# the base clouds of the deepest-point benchmark workload
+@pytest.mark.parametrize(
+    "family, atoms, seed",
+    [("gaussian-quantized", 25, 101), ("gaussian-quantized", 50, 102),
+     ("adversarial-three-cluster", 25, 104)],
+)
+def test_benchmark_clouds_match_sweep(family, atoms, seed):
+    assert_matches_sweep(generate_cloud(family, seed=seed, atoms=atoms, dim=2))
+
+
+@st.composite
+def clouds_with_runs(draw):
+    """Grid atoms plus a run of 3-6 collinear atoms, one atom beside the
+    run and some run atoms repeated."""
+    x0, y0 = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    dx, dy = draw(
+        st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda v: math.gcd(*v) == 1)
+    )
+    run = [(x0 + t * dx, y0 + t * dy) for t in range(draw(st.integers(3, 6)))]
+    repeats = draw(st.lists(st.sampled_from(run), max_size=3))
+    extra = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=6))
+    pts = run + repeats + [(x0 - dy, y0 + dx)] + extra
+    return cloud(pts, draw(st.lists(st.integers(1, 4), min_size=len(pts), max_size=len(pts))))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(c=clouds_with_runs())
+def test_sweep_matches_first_sweep_property(c):
+    # the run puts three or more atoms on one line (the general path); the
+    # atoms are not all collinear, so some line holds exactly two
+    # (Sylvester-Gallai): the adjacent swap
+    sizes = block_sizes(assert_matches_sweep(c))
+    assert 2 in sizes and max(sizes) >= 3
