@@ -20,7 +20,11 @@ query emits only those.  One clip against the halfplanes of several
 clouds gives the intersection of their regions, and one binary search
 over their finite level set, read off the same sweep, finds the largest
 level at which it is nonempty: for one cloud, the depth of the measure.
-Each query builds the tables it reads and drops them: none is kept on a cloud.
+The search probes no level that the theory already decides: none above
+(1 + heaviest atom) / 2, which no point exceeds, and for one cloud none
+below the first level at or above 1/3, which Rado's centerpoint theorem
+guarantees.  Each query builds the tables it reads and drops them: none
+is kept on a cloud.
 
 The clip runs in homogeneous integer coordinates: every halfplane is
 rescaled to the common coordinate scale of the clouds, each vertex is
@@ -435,7 +439,11 @@ class _DirectionTable:
 
     The directions are the normals to atom differences (both
     orientations) and the four axes, sorted once by exact angle from
-    (1, 0).  Between consecutive directions the order of the distinct
+    (1, 0).  The atoms on each line through two of them are grouped in
+    one pass over the pairs, under the line's normal on the upper half
+    circle [0, pi): y > 0, or (1, 0) when the atoms share an x.  The
+    directions on the lower half read the same groups under their
+    negation.  Between consecutive directions the order of the distinct
     atoms by projection is constant.  At a direction, the atoms on one
     line normal to it form a contiguous block of that order, and passing
     the direction reverses the block.  The sweep records each reversed
@@ -454,6 +462,9 @@ class _DirectionTable:
     form a run; runs break at the axes, so their normals span at most
     pi / 2, and every middle halfplane of a run is a nonnegative
     combination of its two ends.  Only run ends are emitted.
+
+    heaviest is the largest merged atom weight (over weight_den), which
+    caps the level search.
     """
 
     def __init__(self, cloud):
@@ -471,23 +482,38 @@ class _DirectionTable:
         # descending x, then descending y
         self._points = pts = sorted(mass, reverse=True)
         weights = [mass[p] for p in pts]
-        # atoms on one line, keyed by the line's canonical normal and offset
+        self.heaviest = max(weights)
+        # atoms on one line, keyed by its normal on the upper half circle and
+        # its offset: a later atom never has a larger x, so the normal
+        # (by - ay, ax - bx) has y >= 0, and y == 0 means (1, 0).  The first
+        # pair met on a line holds its first atom i, which pairs with every
+        # other atom on it, so only i's pairs append.  The blocks keep these
+        # ints: take them from one list, not from a range per i
+        index = list(range(len(pts)))
         lines = {}
-        for i, j in combinations(range(len(pts)), 2):
-            (ax, ay), (bx, by) = pts[i], pts[j]
-            nx, ny = _canonical_line((by - ay, ax - bx))
-            key = (nx, ny, nx * ax + ny * ay)
-            if key in lines:
-                lines[key].update((i, j))
-            else:
-                lines[key] = {i, j}
+        for i, (ax, ay) in zip(index, pts):
+            for j in index[i + 1:]:
+                bx, by = pts[j]
+                ny = ax - bx
+                if ny:
+                    nx = by - ay
+                    g = math.gcd(nx, ny)
+                    nx //= g
+                    ny //= g
+                else:
+                    nx = 1
+                key = (nx, ny, nx * ax + ny * ay)
+                atoms = lines.get(key)
+                if atoms is None:
+                    lines[key] = [i, j]
+                elif atoms[0] == i:
+                    atoms.append(j)
         ties = {}
         for (nx, ny, _), atoms in lines.items():
             ties.setdefault((nx, ny), []).append(atoms)
-        # a line ties its atoms at both orientations of its normal
-        ties.update({(-nx, -ny): g for (nx, ny), g in list(ties.items())})
+        del lines  # read no more: dropping it lowers the build's peak memory
         self.directions = _angle_sorted(
-            set(ties) | {(1, 0), (0, 1), (-1, 0), (0, -1)}
+            ties.keys() | {(-nx, -ny) for nx, ny in ties} | {(1, 0), (0, 1), (-1, 0), (0, -1)}
         )
         # the axes after (1, 0), then a sentinel past the last direction
         self._axes = tuple(
@@ -502,9 +528,12 @@ class _DirectionTable:
         # blocks as (start, new atoms, new prefix weights)
         self._events = events = [[] for _ in pts]
         self._blocks = blocks = [[] for _ in pts]
-        # the sweep starts just after (1, 0), so index 0 is not replayed
+        # the sweep starts just after (1, 0), so index 0 is not replayed.  A
+        # line ties its atoms at both orientations of its normal, and the
+        # directions from (-1, 0) on find their lines under their negation
+        lower = self._axes[1]
         for d, v in enumerate(self.directions[1:], 1):
-            for atoms in ties.get(v, ()):
+            for atoms in ties.get(v if d < lower else (-v[0], -v[1]), ()):
                 if len(atoms) == 2:
                     # two atoms swap adjacent ranks s and t = s + 1, so only
                     # prefix[s] changes: prefix[t] still sums the same atoms
@@ -676,21 +705,36 @@ def _deepest_common_region(tables):
     """(largest level whose regions all meet, their intersection there).
 
     The regions are those of the clouds whose direction tables these
-    are.  Binary search over the union of the tables' levels, top level
-    first; nonemptiness is monotone in the level, so the probe order does
-    not change the answer.  The intersection is the raw loop of
-    _region_vertices: the search compares levels only, and a caller that
-    reports the region wraps it in a DepthRegion.  (0, ()) when even the
-    lowest level fails.
+    are.  Binary search over the union of the tables' levels; nonemptiness
+    is monotone in the level, so the probe order does not change the
+    answer.  Two bounds keep it off levels whose answer is known:
+
+    - Cap.  No point is deeper than (1 + m) / 2 in a cloud whose heaviest
+      atom has mass m: a line through the point that meets no other atom
+      bounds two closed halfplanes of total mass at most 1 + m.  So no
+      level above the least cap of the tables meets, and the first probe
+      is the highest level at or below it.
+    - Floor.  For one table, by Rado's centerpoint theorem some point has
+      depth at least 1/3; the depth of the measure is a level, so the
+      first level at or above 1/3 meets.  The search starts just below it
+      and never probes lower; as mid rounds up, it still probes that
+      level whenever every level above it fails.
+
+    The intersection is the raw loop of _region_vertices: the search
+    compares levels only, and a caller that reports the region wraps it
+    in a DepthRegion.  (0, ()) when several regions meet at no level;
+    for one table, a failing floor level raises InternalConsistencyError.
     """
     levels = sorted({Fraction(lv, t.weight_den) for t in tables for lv in t.levels})
-    hi = len(levels) - 1
+    cap = min(Fraction(t.weight_den + t.heaviest, 2 * t.weight_den) for t in tables)
+    hi = bisect_right(levels, cap) - 1
     best = _region_vertices(tables, levels[hi])
     if best:
         return levels[hi], best
-    # levels[hi] fails and levels[lo] meets (lo = -1: none yet); rounding
-    # mid up probes the lowest level only when every level above it failed
-    lo = -1
+    # levels[hi] fails, and no level below levels[lo + 1] is probed: for
+    # one table the first level at or above 1/3, which must meet.  Rounding
+    # mid up probes levels[lo + 1] only when every level above it failed
+    lo = start = (bisect_left(levels, Fraction(1, 3)) if len(tables) == 1 else 0) - 1
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2
         loop = _region_vertices(tables, levels[mid])
@@ -698,9 +742,11 @@ def _deepest_common_region(tables):
             lo, best = mid, loop
         else:
             hi = mid
-    if lo < 0:
+    if lo > start:
+        return levels[lo], best
+    if len(tables) > 1:
         return Fraction(0), ()
-    return levels[lo], best
+    raise InternalConsistencyError("no level at or above 1/3 meets, against Rado's theorem")
 
 
 def _interval_1d(cloud, level=None):
@@ -732,8 +778,6 @@ def depth_of_measure(cloud):
         return DepthValue(level, None), ((lo + hi) / 2,)
     if cloud.dim == 2:
         level, loop = _deepest_common_region([_DirectionTable(cloud)])
-        if not loop:
-            raise InternalConsistencyError("achieved depth level has empty region")
         return DepthValue(level, None), polygon.centroid(loop)
     raise DomainError("exact depth of a measure is only available in dimensions 1 and 2")
 

@@ -11,6 +11,10 @@ sweep's levels, its pruned halfplanes and the regions they cut out.
 reference_sweep is the sweep as first written, which rebuilds every
 reversed block by slicing, two atoms too.  The tests compare the table's
 fields to it exactly.
+
+reference_deepest_common_region is the level search before it was
+bracketed: a binary search over every level of the union, top level
+first.  The bracketed search must give exactly its level and loop.
 """
 
 import math
@@ -19,7 +23,7 @@ from itertools import accumulate, combinations
 from types import SimpleNamespace
 
 from centertrans import polygon
-from centertrans.depth import _angle_sorted, _canonical_line, _primitive
+from centertrans.depth import _angle_sorted, _canonical_line, _primitive, _region_vertices
 from centertrans.errors import InternalConsistencyError
 
 
@@ -182,3 +186,25 @@ def reference_sweep(cloud):
         _events=events,
         _blocks=blocks,
     )
+
+
+def reference_deepest_common_region(tables):
+    """(largest level whose regions all meet, their raw loop there), probing
+    the top level first and then bisecting over all levels; (0, ()) when
+    even the lowest level fails."""
+    levels = sorted({Fraction(lv, t.weight_den) for t in tables for lv in t.levels})
+    hi = len(levels) - 1
+    best = _region_vertices(tables, levels[hi])
+    if best:
+        return levels[hi], best
+    lo = -1
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        loop = _region_vertices(tables, levels[mid])
+        if loop:
+            lo, best = mid, loop
+        else:
+            hi = mid
+    if lo < 0:
+        return Fraction(0), ()
+    return levels[lo], best

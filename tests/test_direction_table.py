@@ -243,3 +243,24 @@ def test_sweep_matches_first_sweep_property(c):
     # (Sylvester-Gallai): the adjacent swap
     sizes = block_sizes(assert_matches_sweep(c))
     assert 2 in sizes and max(sizes) >= 3
+
+
+@st.composite
+def clouds_on_few_rows_and_columns(draw):
+    """Atoms on a few shared x and y values: many pairs share an x (normal
+    (1, 0)) or a y (normal (0, 1)), so the axes tie atoms at both
+    orientations, and at (-1, 0) the sweep starts to find each line under
+    the negation of its direction."""
+    xs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    ys = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    atom = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+    pts = draw(st.lists(atom, min_size=2, max_size=10))
+    return cloud(pts, draw(st.lists(st.integers(1, 4), min_size=len(pts), max_size=len(pts))))
+
+
+@settings(max_examples=150, derandomize=True)
+@given(c=clouds_on_few_rows_and_columns())
+def test_axis_ties_match_first_sweep_property(c):
+    table = assert_matches_sweep(c)
+    half = len(table.directions) // 2
+    assert table.directions[half:] == [(-x, -y) for x, y in table.directions[:half]]
