@@ -5,7 +5,10 @@ beyond; the planar case drives everything else (regions, depth of a
 measure, the transversal search) and is built on integer sign tests:
 atom offsets are rescaled to integer vectors, so every orientation
 predicate is decided exactly and depth values come out as rationals
-over the common weight denominator.
+over the common weight denominator.  One planar count serves point
+depth in 2-D and 3-D: in 3-D each offset line is projected away onto
+an integer basis of its orthogonal plane (Rousseeuw & Struyf 1998),
+and the offsets on the line count by their lighter ray.
 
 The superlevel region {x : depth(x) >= tau} in the plane is cut out by
 halfplanes normal to atom differences (plus the coordinate axes, which
@@ -100,7 +103,10 @@ class DepthRegion:
         return "polygon"
 
     def locate(self, point):
-        return polygon.locate_point(self.vertices, tuple(_as_fraction(c) for c in point))
+        point = tuple(_as_fraction(c) for c in point)
+        if len(point) != 2:
+            raise DomainError("point dimension mismatch: a depth region is planar")
+        return polygon.locate_point(self.vertices, point)
 
     def contains(self, point):
         return self.locate(point) != "outside"
@@ -138,17 +144,15 @@ def halfspace_mass(cloud, v, a):
 def _int_offsets(cloud, x):
     """Integer rescalings of p - x plus the weight mass sitting at x.
 
-    Returns (at_x_weight, [(u, w_int), ...], D) where u is a nonzero
-    integer vector positively proportional to p - x.
+    x is a tuple of Fractions of the cloud's dimension.  Returns
+    (at_x_weight, [(u, w_int), ...], D) where u is a nonzero integer
+    vector positively proportional to p - x.
     """
-    xs = tuple(_as_fraction(c) for c in x)
-    if len(xs) != cloud.dim:
-        raise DomainError("point dimension mismatch")
     c_scale, ipts = cloud.int_points
     d_den, ws = cloud.int_weights
-    s = math.lcm(c_scale, *(c.denominator for c in xs))
+    s = math.lcm(c_scale, *(c.denominator for c in x))
     m = s // c_scale
-    sx = [int(c * s) for c in xs]
+    sx = [int(c * s) for c in x]
     at_x = 0
     offsets = []
     for pt, w in zip(ipts, ws):
@@ -177,7 +181,7 @@ def _canonical_line(vec):
 
 
 def _depth_1d(cloud, x):
-    x0 = _as_fraction(x[0])
+    (x0,) = x
     upper = Fraction(0)
     lower = Fraction(0)
     for (p,), w in cloud.atoms:
@@ -190,10 +194,21 @@ def _depth_1d(cloud, x):
     return DepthValue(lower, (Fraction(-1),))
 
 
-def _depth_2d(cloud, x):
-    at_x, offsets, d_den = _int_offsets(cloud, x)
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _planar_count(offsets):
+    """(least mass, integer witness w) over closed halfplanes {<l, w> >= 0}.
+
+    offsets are [(l, weight), ...] with l a nonzero integer vector and
+    an integer weight.  A line through 0 and an offset splits the others
+    into two open sides and two rays on the line; the least sum of the
+    lighter side and the lighter ray is the mass, and <l, w> != 0 for
+    every offset l.  No offsets give (0, (0, 0)).
+    """
     if not offsets:
-        return DepthValue(Fraction(1), None)
+        return 0, (0, 0)
     lines = {_canonical_line(u) for u, _ in offsets}
     best = None
     for u in lines:
@@ -209,7 +224,7 @@ def _depth_2d(cloud, x):
                 b_plus += w
             else:
                 b_minus += w
-        val = at_x + min(s_left, s_right) + min(b_plus, b_minus)
+        val = min(s_left, s_right) + min(b_plus, b_minus)
         if best is None or val < best[0]:
             best = (val, u, s_left <= s_right, b_plus <= b_minus)
     val, u, left_side, plus_side = best
@@ -220,80 +235,43 @@ def _depth_2d(cloud, x):
     k_big = 1 + max(abs(ux * lx + uy * ly) for (lx, ly), _ in offsets)
     v0 = (-uy, ux) if left_side else (uy, -ux)
     sigma = 1 if plus_side else -1
-    witness = (
-        Fraction(k_big * v0[0] + sigma * ux),
-        Fraction(k_big * v0[1] + sigma * uy),
-    )
-    return DepthValue(Fraction(val, d_den), witness)
+    return val, (k_big * v0[0] + sigma * ux, k_big * v0[1] + sigma * uy)
 
 
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+def _spatial_count(offsets):
+    """_planar_count in R^3, by projection (Rousseeuw & Struyf 1998).
 
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _depth_3d(cloud, x):
-    at_x, offsets, d_den = _int_offsets(cloud, x)
-    if not offsets:
-        return DepthValue(Fraction(1), None)
-    us = [u for u, _ in offsets]
+    Each open cell of the arrangement of the planes l-perp has a face on
+    some u-perp, and the two cells beside it differ only in the offsets
+    parallel to u.  So per offset line u, the lighter of the rays +-u
+    plus the planar count of the rest, projected onto an integer basis
+    (a, b) of u-perp, is a candidate.  M (s a + t b) + tau u, with (s, t)
+    the planar witness and M above every |<l, u>|, keeps the sign of each
+    projected offset and puts the lighter ray on tau's side.
+    """
     best = None
-    found_pair = False
-    for j, k in combinations(range(len(us)), 2):
-        v0 = _cross3(us[j], us[k])
-        if v0 == (0, 0, 0):
-            continue
-        found_pair = True
-        a_dir = _cross3(us[k], v0)
-        b_dir = _cross3(v0, us[j])
-        for s in (1, -1):
-            for t in (1, -1):
-                w_dir = tuple(s * a + t * b for a, b in zip(a_dir, b_dir))
-                z_dir = _cross3(v0, w_dir)
-                base = at_x
-                zz_plus = zz_minus = 0
-                for u, wt in offsets:
-                    d0 = _dot(u, v0)
-                    if d0 > 0:
-                        base += wt
-                    elif d0 == 0:
-                        d1 = _dot(u, w_dir)
-                        if d1 > 0:
-                            base += wt
-                        elif d1 == 0:
-                            # u is orthogonal to v0 and w, hence parallel to z
-                            if _dot(u, z_dir) > 0:
-                                zz_plus += wt
-                            else:
-                                zz_minus += wt
-                for sigma, extra in ((1, zz_plus), (-1, zz_minus)):
-                    val = base + extra
-                    if best is None or val < best[0]:
-                        best = (val, v0, w_dir, z_dir, sigma)
-    if not found_pair:
-        # all offsets on one line through x: one-dimensional split
-        u = us[0]
-        for sgn in (1, -1):
-            val = at_x + sum(wt for uu, wt in offsets if sgn * _dot(uu, u) > 0)
-            if best is None or val < best[0]:
-                best = (val, None, None, None, sgn)
-        val, _, _, _, sgn = best
-        witness = tuple(Fraction(sgn * c) for c in u)
-        return DepthValue(Fraction(val, d_den), witness)
-    val, v0, w_dir, z_dir, sigma = best
-    m_big = 1 + max(abs(_dot(u, w_dir)) for u in us) + max(abs(_dot(u, z_dir)) for u in us)
-    witness = tuple(
-        Fraction(m_big * m_big * a + m_big * b + sigma * c)
-        for a, b, c in zip(v0, w_dir, z_dir)
-    )
-    return DepthValue(Fraction(val, d_den), witness)
+    for u in {_canonical_line(l) for l, _ in offsets}:
+        ux, uy, uz = u
+        # u x e_k for the axis k with the least |u_k|, so a != 0
+        a = ((0, uz, -uy), (-uz, 0, ux), (uy, -ux, 0))[min(range(3), key=lambda k: abs(u[k]))]
+        b = (uy * a[2] - uz * a[1], uz * a[0] - ux * a[2], ux * a[1] - uy * a[0])  # u x a
+        plus = minus = 0
+        projected = []
+        for l, w in offsets:
+            p = (_dot(l, a), _dot(l, b))
+            if p != (0, 0):
+                projected.append((p, w))
+            elif _dot(l, u) > 0:
+                plus += w
+            else:
+                minus += w
+        val, st = _planar_count(projected)
+        val += min(plus, minus)
+        if best is None or val < best[0]:
+            best = (val, u, a, b, st, 1 if plus <= minus else -1)
+    val, u, a, b, (s, t), tau = best
+    m_big = 1 + max(abs(_dot(l, u)) for l, _ in offsets)
+    return val, tuple(m_big * (s * ac + t * bc) + tau * uc for ac, bc, uc in zip(a, b, u))
 
 
 def _nullspace_direction(rows, dim):
@@ -383,21 +361,24 @@ def _depth_upper_bound(cloud, x):
 def tukey_depth(cloud, x):
     """Exact infimum mass over closed half-spaces containing x (dim <= 3).
 
+    2-D and 3-D share one halfplane count (_planar_count, _spatial_count).
     In dimension > 3 the result is a certified upper bound with
     exact=False.  The witness direction, when present, achieves the
     reported value exactly: halfspace_mass(cloud, witness, <x, witness>)
-    equals DepthValue.value.
+    equals DepthValue.value.  It is None only when every atom sits at x.
     """
     x = tuple(_as_fraction(c) for c in x)
     if len(x) != cloud.dim:
         raise DomainError("point dimension mismatch")
     if cloud.dim == 1:
         return _depth_1d(cloud, x)
-    if cloud.dim == 2:
-        return _depth_2d(cloud, x)
-    if cloud.dim == 3:
-        return _depth_3d(cloud, x)
-    return _depth_upper_bound(cloud, x)
+    if cloud.dim > 3:
+        return _depth_upper_bound(cloud, x)
+    at_x, offsets, d_den = _int_offsets(cloud, x)
+    if not offsets:
+        return DepthValue(Fraction(1), None)
+    val, witness = (_planar_count if cloud.dim == 2 else _spatial_count)(offsets)
+    return DepthValue(Fraction(at_x + val, d_den), tuple(map(Fraction, witness)))
 
 
 def _angle_key(v):

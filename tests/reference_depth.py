@@ -1,12 +1,16 @@
-"""Planar depth of a measure by enumerating the arrangement's vertices.
+"""Reference depth routines the tests check the depth kernels against.
 
-The tests use it as the oracle for depth.depth_of_measure, which finds
-the same depth by a binary search over the levels of one angular sweep.
+depth_of_measure_by_candidates finds the planar depth of a measure by
+enumerating the arrangement's vertices; depth.depth_of_measure finds the
+same depth by a binary search over the levels of one angular sweep.
+depth_3d_by_pairs is the 3-D point depth that tries every pair of
+offsets; depth.tukey_depth reduces each offset line to a planar count.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
-from centertrans.depth import DepthValue, tukey_depth
+from centertrans.depth import DepthValue, _dot, _int_offsets, tukey_depth
 from centertrans.errors import DomainError
 
 
@@ -40,3 +44,76 @@ def depth_of_measure_by_candidates(cloud):
         if best_val is None or val > best_val:
             best_val, best_pt = val, cand
     return DepthValue(best_val, None), best_pt
+
+
+def _cross3(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def depth_3d_by_pairs(cloud, x):
+    """Exact 3-D Tukey depth by trying every pair of offsets.
+
+    Each pair (j, k) of non-parallel offsets spans a plane with normal
+    v0; the four directions w in it between the two offsets, and then
+    the two rays along v0 x w, settle the offsets on lower strata by a
+    lexicographic sign (v0, w, z).  Cubic in the atom count; x is a
+    tuple of rationals.
+    """
+    at_x, offsets, d_den = _int_offsets(cloud, x)
+    if not offsets:
+        return DepthValue(Fraction(1), None)
+    us = [u for u, _ in offsets]
+    best = None
+    found_pair = False
+    for j, k in combinations(range(len(us)), 2):
+        v0 = _cross3(us[j], us[k])
+        if v0 == (0, 0, 0):
+            continue
+        found_pair = True
+        a_dir = _cross3(us[k], v0)
+        b_dir = _cross3(v0, us[j])
+        for s in (1, -1):
+            for t in (1, -1):
+                w_dir = tuple(s * a + t * b for a, b in zip(a_dir, b_dir))
+                z_dir = _cross3(v0, w_dir)
+                base = at_x
+                zz_plus = zz_minus = 0
+                for u, wt in offsets:
+                    d0 = _dot(u, v0)
+                    if d0 > 0:
+                        base += wt
+                    elif d0 == 0:
+                        d1 = _dot(u, w_dir)
+                        if d1 > 0:
+                            base += wt
+                        elif d1 == 0:
+                            # u is orthogonal to v0 and w, hence parallel to z
+                            if _dot(u, z_dir) > 0:
+                                zz_plus += wt
+                            else:
+                                zz_minus += wt
+                for sigma, extra in ((1, zz_plus), (-1, zz_minus)):
+                    val = base + extra
+                    if best is None or val < best[0]:
+                        best = (val, v0, w_dir, z_dir, sigma)
+    if not found_pair:
+        # all offsets on one line through x: one-dimensional split
+        u = us[0]
+        for sgn in (1, -1):
+            val = at_x + sum(wt for uu, wt in offsets if sgn * _dot(uu, u) > 0)
+            if best is None or val < best[0]:
+                best = (val, None, None, None, sgn)
+        val, _, _, _, sgn = best
+        witness = tuple(Fraction(sgn * c) for c in u)
+        return DepthValue(Fraction(val, d_den), witness)
+    val, v0, w_dir, z_dir, sigma = best
+    m_big = 1 + max(abs(_dot(u, w_dir)) for u in us) + max(abs(_dot(u, z_dir)) for u in us)
+    witness = tuple(
+        Fraction(m_big * m_big * a + m_big * b + sigma * c)
+        for a, b, c in zip(v0, w_dir, z_dir)
+    )
+    return DepthValue(Fraction(val, d_den), witness)

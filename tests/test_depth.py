@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,8 @@ from centertrans.depth import (
     tukey_depth,
 )
 from centertrans.errors import DomainError
-from reference_depth import depth_of_measure_by_candidates
+from centertrans.serialize import frac_str
+from reference_depth import depth_3d_by_pairs, depth_of_measure_by_candidates
 
 F = Fraction
 
@@ -39,6 +42,30 @@ def random_cloud(rng, n_atoms, dim=2, coord_scale=100):
         for p, w in zip(pts, raw)
     ]
     return WeightedPointCloud(dim, atoms)
+
+
+def grid_clouds(dim, count, seed):
+    """Seeded clouds of 1-11 atoms in {-2..2}^dim, each with four probes.
+
+    Atoms repeat often; every third cloud is squeezed onto a line or
+    (in 3-D) a plane through the origin.  The probes are the first and
+    last atom, a half-integer point and a point with denominators up to 7.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        atoms = [(tuple(rng.randint(-2, 2) for _ in range(dim)), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 11))]
+        if i % 3 == 1:  # collinear
+            d = [rng.randint(-1, 1) for _ in range(dim - 1)] + [1]
+            atoms = [(tuple(p[0] * c for c in d), w) for p, w in atoms]
+        elif i % 3 == 2 and dim == 3:  # coplanar: x + y + z = 0
+            atoms = [((x, y, -x - y), w) for (x, y, _), w in atoms]
+        total = sum(w for _, w in atoms)
+        cloud = WeightedPointCloud(dim, [(tuple(map(F, p)), F(w, total)) for p, w in atoms])
+        probes = [cloud.atoms[0][0], cloud.atoms[-1][0],
+                  tuple(F(rng.randint(-5, 5), 2) for _ in range(dim)),
+                  tuple(F(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(dim))]
+        yield cloud, probes
 
 
 def test_halfspace_mass_examples():
@@ -146,6 +173,67 @@ def test_depth_3d_collinear_cloud():
     c = WeightedPointCloud(3, [(tuple(map(F, p)), F(1, 3)) for p in pts])
     assert tukey_depth(c, (F(1), F(1), F(1))).value == F(2, 3)
     assert tukey_depth(c, (F(0), F(0), F(0))).value == F(1, 3)
+
+
+def assert_witness_attains(cloud, x, dv):
+    w = dv.witness_direction
+    if w is None:  # only when every atom sits at x
+        assert dv.value == 1 and all(p == x for p in cloud.points())
+    else:
+        assert halfspace_mass(cloud, w, sum(a * b for a, b in zip(x, w))) == dv.value
+
+
+def test_depth_3d_matches_pair_oracle():
+    # the reduction to planar counts against the pair enumeration it
+    # replaced: the same value, and a witness attaining it
+    for cloud, probes in grid_clouds(3, 300, 3):
+        for x in probes:
+            dv = tukey_depth(cloud, x)
+            assert dv.value == depth_3d_by_pairs(cloud, x).value, (cloud.atoms, x)
+            assert_witness_attains(cloud, x, dv)
+
+
+@pytest.mark.parametrize("points, x, value", [
+    ([(1, 1, 1)] * 3, (1, 1, 1), 1),  # every atom at x: no witness
+    ([(0, 0, 0), (1, 1, 1), (1, 1, 1), (3, 3, 3)], (1, 1, 1), F(3, 4)),  # collinear, duplicate
+    ([(0, 0, 0), (1, 2, 3), (1, 2, 3)], (0, 0, 0), F(1, 3)),
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], (F(1, 2), F(1, 2), 0), F(1, 2)),  # coplanar
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)], (F(1, 2), F(1, 2), F(1, 3)), 0),
+    ([(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2), (0, 0, 0)],
+     (0, 0, 0), F(4, 7)),  # octahedron with its center
+])
+def test_depth_3d_degenerate_clouds(points, x, value):
+    cloud = WeightedPointCloud(3, [(tuple(map(F, p)), F(1, len(points))) for p in points])
+    x = tuple(map(F, x))
+    dv = tukey_depth(cloud, x)
+    assert dv.value == value == depth_3d_by_pairs(cloud, x).value
+    assert_witness_attains(cloud, x, dv)
+
+
+# sha256 of "value witness" lines over grid_clouds(2, 300, 19): the
+# witness directions `depth --point` reports on planar clouds
+PLANAR_WITNESS_DIGEST = "54e159f343496ed511d2cc1a4c98edab7a9dc60f3c7ab39160a471330b26be5a"
+
+
+def test_planar_witness_directions_pinned():
+    lines = []
+    for cloud, probes in grid_clouds(2, 300, 19):
+        for x in probes:
+            dv = tukey_depth(cloud, x)
+            w = dv.witness_direction
+            w = "-" if w is None else ",".join(map(frac_str, w))
+            lines.append("%s %s\n" % (frac_str(dv.value), w))
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == PLANAR_WITNESS_DIGEST
+
+
+def test_region_locate_rejects_non_planar_points():
+    region = depth_region(triangle_cloud(), F(1, 3))
+    assert region.contains((F(1, 3), F(1, 3)))
+    for point in ((F(1, 3), F(1, 3), 99), (F(1, 3),), ()):
+        with pytest.raises(DomainError):
+            region.contains(point)
+        with pytest.raises(DomainError):
+            region.locate(point)
 
 
 def test_depth_dim4_upper_bound():

@@ -1,5 +1,5 @@
-"""Property tests for planar Tukey depth: witness attainment, invariance
-under exact rigid motions, and nesting of depth regions."""
+"""Property tests for Tukey depth: witness attainment in the plane and in
+3-D, invariance under exact rigid motions, and nesting of depth regions."""
 
 from fractions import Fraction
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from centertrans.cloud import WeightedPointCloud, apply_affine
 from centertrans.depth import depth_of_measure, depth_region, halfspace_mass, tukey_depth
+from reference_depth import depth_3d_by_pairs
 
 F = Fraction
 
@@ -19,17 +20,24 @@ PROPERTY = settings(max_examples=100)
 
 def _build(den, atoms):
     total = sum(w for _, w in atoms)
-    return WeightedPointCloud(2, [((F(x, den), F(y, den)), F(w, total)) for (x, y), w in atoms])
+    return WeightedPointCloud(len(atoms[0][0]), [(tuple(F(c, den) for c in p), F(w, total))
+                                                 for p, w in atoms])
 
 
-coordinate = st.integers(-5, 5)
-clouds = st.builds(
-    _build,
-    st.integers(1, 4),
-    st.lists(st.tuples(st.tuples(coordinate, coordinate), st.integers(1, 3)),
-             min_size=1, max_size=7),
-)
+def _clouds(dim, coordinate):
+    return st.builds(
+        _build,
+        st.integers(1, 4),
+        st.lists(st.tuples(st.tuples(*[coordinate] * dim), st.integers(1, 3)),
+                 min_size=1, max_size=7),
+    )
+
+
+clouds = _clouds(2, st.integers(-5, 5))
+# a small grid, so that atoms repeat and lie on common lines and planes
+clouds_3d = _clouds(3, st.integers(-2, 2))
 points = st.tuples(*[st.builds(F, st.integers(-12, 12), st.integers(1, 4))] * 2)
+points_3d = st.tuples(*[st.builds(F, st.integers(-6, 6), st.integers(1, 2))] * 3)
 
 
 @st.composite
@@ -47,18 +55,29 @@ def _move(motion, x):
     return tuple(sum(a * b for a, b in zip(row, x)) + t for row, t in zip((row0, row1), shift))
 
 
-@PROPERTY
-@given(cloud=clouds, x=points, at_atom=st.booleans())
-def test_witness_attains_depth(cloud, x, at_atom):
-    if at_atom:
-        x = cloud.atoms[0][0]
+def _check_witness(cloud, x):
+    """The depth at x, once its witness direction is seen to attain it."""
     dv = tukey_depth(cloud, x)
     w = dv.witness_direction
     if w is None:  # only when every atom sits at x
         assert dv.value == 1 and all(p == x for p in cloud.points())
-        return
-    level = sum(a * b for a, b in zip(x, w))
-    assert halfspace_mass(cloud, w, level) == dv.value
+    else:
+        level = sum(a * b for a, b in zip(x, w))
+        assert halfspace_mass(cloud, w, level) == dv.value
+    return dv
+
+
+@PROPERTY
+@given(cloud=clouds, x=points, at_atom=st.booleans())
+def test_witness_attains_depth(cloud, x, at_atom):
+    _check_witness(cloud, cloud.atoms[0][0] if at_atom else x)
+
+
+@PROPERTY
+@given(cloud=clouds_3d, x=points_3d, at_atom=st.booleans())
+def test_witness_attains_depth_3d(cloud, x, at_atom):
+    x = cloud.atoms[0][0] if at_atom else x
+    assert _check_witness(cloud, x).value == depth_3d_by_pairs(cloud, x).value
 
 
 @PROPERTY
