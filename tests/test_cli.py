@@ -31,9 +31,11 @@ def write_triangle(path):
     return str(path)
 
 
-def write_tetrahedron(path):
-    corners = [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
-    path.write_text(json.dumps({"dim": 3, "atoms": [{"x": x, "w": "1/4"} for x in corners]}))
+def write_simplex(path, dim):
+    """The origin and the unit vectors of R^dim, each of weight 1/(dim + 1)."""
+    corners = [["1" if i == j else "0" for i in range(dim)] for j in range(-1, dim)]
+    weight = "1/%d" % (dim + 1)
+    path.write_text(json.dumps({"dim": dim, "atoms": [{"x": x, "w": weight} for x in corners]}))
     return str(path)
 
 
@@ -107,14 +109,14 @@ def test_schubert_m_defaults_to_1_and_zero_exit_2(capsys, check):
 
 
 def test_depth_point_fixture(capsys, tmp_path):
-    cloud = write_triangle(tmp_path / "tri.json")
-    code, out, _ = run_cli(
-        ["depth", "--input", cloud, "--point", "1/3,1/3"], capsys
-    )
-    assert code == 0
-    body = json.loads(out)
-    assert body["depth"] == "1/3"
-    assert body["exact"] is True
+    tri = write_triangle(tmp_path / "tri.json")
+    simplex4 = write_simplex(tmp_path / "simplex4.json", 4)
+    for cloud, point, depth in ((tri, "1/3,1/3", "1/3"), (simplex4, "1/5,1/5,1/5,1/5", "1/5")):
+        code, out, _ = run_cli(["depth", "--input", cloud, "--point", point], capsys)
+        assert code == 0
+        body = json.loads(out)
+        assert body["depth"] == depth
+        assert body["exact"] is True
 
 
 def test_depth_point_negative_coordinates(capsys, tmp_path):
@@ -526,7 +528,7 @@ def test_transversal_malformed_frame_exit_2(capsys, tmp_path, frame):
 
 def test_transversal_n_must_fit_the_input(capsys, tmp_path):
     tri = write_triangle(tmp_path / "tri.json")
-    tet = write_tetrahedron(tmp_path / "tet.json")
+    tet = write_simplex(tmp_path / "tet.json", 3)
     _assert_bad_input(["transversal", "--input", tet, "--n", "4", "--restarts", "1"], capsys)
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps({"rows": [[1, 0], [0, 1]]}))
@@ -596,7 +598,8 @@ DEPTH_KERNEL = CLI_CORE + ["bounds", "cloud", "depth", "polygon"]
 
 def test_exact_subcommands_do_not_import_numpy(tmp_path):
     tri = write_triangle(tmp_path / "tri.json")
-    tet = write_tetrahedron(tmp_path / "tet.json")
+    tet = write_simplex(tmp_path / "tet.json", 3)
+    simplex4 = write_simplex(tmp_path / "simplex4.json", 4)
     broken = tmp_path / "broken.json"
     broken.write_text('{"dim": 2, "atoms": [')
     plane = tmp_path / "plane.json"
@@ -615,6 +618,7 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
          CLI_CORE + ["bounds", "schubert"]),
         (["depth", "--input", tri, "--point", "1/3,1/3"], 0, DEPTH_KERNEL),
         (["depth", "--input", tet, "--point", "1/4,1/4,1/4"], 0, DEPTH_KERNEL),
+        (["depth", "--input", simplex4, "--point", "1/5,1/5,1/5,1/5"], 0, DEPTH_KERNEL),
         (["depth", "--input", tri, "--region", "1/3"], 0, DEPTH_KERNEL),
         (["depth", "--input", tri], 0, DEPTH_KERNEL),
         (["center", "--input", tri], 0, DEPTH_KERNEL + ["centers"]),

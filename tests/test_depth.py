@@ -15,8 +15,11 @@ from centertrans.depth import (
     tukey_depth,
 )
 from centertrans.errors import DomainError
+from centertrans.generators import generate_cloud
 from centertrans.serialize import frac_str
-from reference_depth import depth_3d_by_pairs, depth_of_measure_by_candidates
+from reference_depth import (
+    depth_3d_by_pairs, depth_4d_by_triples, depth_of_measure_by_candidates,
+)
 
 F = Fraction
 
@@ -210,6 +213,35 @@ def test_depth_3d_degenerate_clouds(points, x, value):
     assert_witness_attains(cloud, x, dv)
 
 
+def test_depth_4d_matches_triple_oracle():
+    # general-position clouds, probed at the mean, at an atom and at a
+    # random convex combination: the value of the triple enumeration, and
+    # a witness attaining it
+    rng = random.Random(11)
+    for seed in range(20):
+        cloud = generate_cloud("gaussian-quantized", seed=100 + seed, atoms=5 + seed % 5, dim=4)
+        mix = [F(rng.randint(1, 9)) for _ in cloud.atoms]
+        mixes = ([w for _, w in cloud.atoms], [m / sum(mix) for m in mix])
+        probes = [tuple(sum(m * p[j] for m, (p, _) in zip(ms, cloud.atoms)) for j in range(4))
+                  for ms in mixes] + [cloud.atoms[seed % len(cloud.atoms)][0]]
+        for x in probes:
+            dv = tukey_depth(cloud, x)
+            assert dv.value == depth_4d_by_triples(cloud, x).value, (seed, x)
+            assert_witness_attains(cloud, x, dv)
+
+
+def test_depth_4d_embedded_grid_clouds():
+    # degenerate offsets: a 3-D grid cloud in the hyperplane x_4 = 0 keeps
+    # its 3-D depth there, and a point off the hyperplane has depth 0
+    for cloud, probes in grid_clouds(3, 100, 23):
+        lifted = WeightedPointCloud(4, [(p + (F(0),), w) for p, w in cloud.atoms])
+        for x in probes:
+            for x4, value in ((x + (F(0),), depth_3d_by_pairs(cloud, x).value), (x + (F(1, 3),), 0)):
+                dv = tukey_depth(lifted, x4)
+                assert dv.value == value, (cloud.atoms, x4)
+                assert_witness_attains(lifted, x4, dv)
+
+
 # sha256 of "value witness" lines over grid_clouds(2, 300, 19): the
 # witness directions `depth --point` reports on planar clouds
 PLANAR_WITNESS_DIGEST = "54e159f343496ed511d2cc1a4c98edab7a9dc60f3c7ab39160a471330b26be5a"
@@ -236,13 +268,13 @@ def test_region_locate_rejects_non_planar_points():
             region.locate(point)
 
 
-def test_depth_dim4_upper_bound():
+def test_depth_dim4_simplex_origin_exact():
     pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     c = WeightedPointCloud(4, [(tuple(map(F, p)), F(1, 5)) for p in pts])
-    dv = tukey_depth(c, (F(0), F(0), F(0), F(0)))
-    assert not dv.exact
-    assert dv.value >= F(1, 5)  # true depth is 1/5; bound cannot go below
-    assert dv.value <= F(2, 5)
+    x = (F(0), F(0), F(0), F(0))
+    dv = tukey_depth(c, x)
+    assert dv.value == F(1, 5)
+    assert_witness_attains(c, x, dv)
 
 
 def test_depth_of_measure_1d():

@@ -1,5 +1,6 @@
-"""Property tests for Tukey depth: witness attainment in the plane and in
-3-D, invariance under exact rigid motions, and nesting of depth regions."""
+"""Property tests for Tukey depth: witness attainment in the plane, in 3-D
+and in 4-D, invariance under exact rigid motions, and nesting of depth
+regions."""
 
 from fractions import Fraction
 
@@ -36,8 +37,10 @@ def _clouds(dim, coordinate):
 clouds = _clouds(2, st.integers(-5, 5))
 # a small grid, so that atoms repeat and lie on common lines and planes
 clouds_3d = _clouds(3, st.integers(-2, 2))
+clouds_4d = _clouds(4, st.integers(-2, 2))
 points = st.tuples(*[st.builds(F, st.integers(-12, 12), st.integers(1, 4))] * 2)
 points_3d = st.tuples(*[st.builds(F, st.integers(-6, 6), st.integers(1, 2))] * 3)
+points_4d = st.tuples(*[st.builds(F, st.integers(-6, 6), st.integers(1, 2))] * 4)
 
 
 @st.composite
@@ -78,6 +81,12 @@ def test_witness_attains_depth(cloud, x, at_atom):
 def test_witness_attains_depth_3d(cloud, x, at_atom):
     x = cloud.atoms[0][0] if at_atom else x
     assert _check_witness(cloud, x).value == depth_3d_by_pairs(cloud, x).value
+
+
+@PROPERTY
+@given(cloud=clouds_4d, x=points_4d, at_atom=st.booleans())
+def test_witness_attains_depth_4d(cloud, x, at_atom):
+    _check_witness(cloud, cloud.atoms[0][0] if at_atom else x)
 
 
 @PROPERTY

@@ -15,9 +15,7 @@ import pytest
 
 from centertrans import transversal
 from centertrans.cloud import OrthoFrame, WeightedPointCloud, dot
-from centertrans.depth import (
-    _deepest_common_region, _DirectionTable, _sample_directions, marginal, tukey_depth,
-)
+from centertrans.depth import _deepest_common_region, _DirectionTable, marginal
 from centertrans.errors import InternalConsistencyError
 from centertrans.generators import generate_cloud, maintheorem_suite
 from centertrans.transversal import (
@@ -120,12 +118,3 @@ def test_verify_raises_when_least_depth_is_not_the_level(monkeypatch):
     monkeypatch.setattr(transversal, "_common_level", off_by_one_step)
     with pytest.raises(InternalConsistencyError):
         verify(frame, clouds, 2)
-
-
-def test_sample_directions_built_once_per_key():
-    cloud = generate_cloud("gaussian-quantized", seed=4, atoms=4, dim=4)
-    _sample_directions.cache_clear()
-    for x in ((0, 0, 0, 0), (F(1, 3), 0, F(-1, 2), 1)):
-        tukey_depth(cloud, x)
-    info = _sample_directions.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
