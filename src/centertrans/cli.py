@@ -96,56 +96,24 @@ def cmd_bounds(args):
     return 0
 
 
-def _run_named_check(args):
-    from . import schubert
-
-    name = args.check
-    if name == "main-obstruction":
-        result = schubert.obstruction_main(args.m, args.n)
-        return result, result["ok"]
-    if name == "power2free":
-        result = schubert.obstruction_power2free(args.m, args.n)
-        return result, result["ok"]
-    ctx = schubert.GrassmannContext(args.n, args.codim)
-    if name == "heights":
-        height = schubert.height_w1(ctx)
-        ok = height >= ctx.codim
-        details = {"check": "heights", "n": ctx.n, "codim": ctx.codim, "height_w1": height,
-                   "lower_bound": ctx.codim, "ok": ok}
-        if ctx.n == 1:
-            details["expected"] = ctx.ambient - 1
-            ok = ok and height == ctx.ambient - 1
-        elif ctx.n == 2:
-            s = 1
-            while 2 ** s < ctx.ambient:
-                s += 1
-            details["expected"] = 2 ** s - 2
-            ok = ok and height == 2 ** s - 2
-        details["ok"] = ok
-        return details, ok
-    # whitney
-    defects = []
-    for d in range(1, ctx.n + ctx.codim + 1):
-        defect = schubert.whitney_defect(ctx, d)
-        if not defect.is_zero():
-            defects.append(d)
-    details = {"check": "whitney", "n": ctx.n, "codim": ctx.codim,
-               "failing_degrees": defects, "ok": not defects}
-    return details, not defects
-
-
 def cmd_schubert(args):
-    if args.check:
-        if args.check in ("heights", "whitney") and args.codim is None:
-            raise DomainError("--codim is required for the %s check" % args.check)
-        result, ok = _run_named_check(args)
-        report = {"manifest": _manifest("schubert"), "result": result}
-        _emit(report, args.output)
-        return 0 if ok else 1
-    if args.exponents is None or args.codim is None:
+    if args.check in ("heights", "whitney") and args.codim is None:
+        raise DomainError("--codim is required for the %s check" % args.check)
+    if not args.check and (args.exponents is None or args.codim is None):
         raise DomainError("need --exponents and --codim (or a named --check)")
     from . import schubert
 
+    if args.check:
+        if args.check == "main-obstruction":
+            result = schubert.obstruction_main(args.m, args.n)
+        elif args.check == "power2free":
+            result = schubert.obstruction_power2free(args.m, args.n)
+        elif args.check == "heights":
+            result = schubert.check_heights(schubert.GrassmannContext(args.n, args.codim))
+        else:
+            result = schubert.check_whitney(schubert.GrassmannContext(args.n, args.codim))
+        _emit({"manifest": _manifest("schubert"), "result": result}, args.output)
+        return 0 if result["ok"] else 1
     ctx = schubert.GrassmannContext(args.n, args.codim)
     try:
         exponents = [int(e) for e in args.exponents.split(",")]

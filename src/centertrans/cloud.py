@@ -23,11 +23,12 @@ FRAME_QUANTIZE_DIGITS = 12
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, str)):
+        return parse_frac(x)  # refuses booleans
+    try:
         return Fraction(x)
-    if isinstance(x, str):
-        return parse_frac(x)
-    return Fraction(x)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError("%r is not a finite number" % (x,)) from exc
 
 
 def _over_lcm(rows):

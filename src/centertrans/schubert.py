@@ -35,20 +35,18 @@ class GrassmannContext:
     def ambient(self):
         return self.n + self.codim
 
-    def valid_cocycle(self, a):
-        return (
+    def check_cocycle(self, a):
+        a = tuple(int(x) for x in a)
+        if not (
             len(a) == self.n
             and all(0 <= x <= self.codim for x in a)
             and all(a[i] <= a[i + 1] for i in range(len(a) - 1))
-        )
-
-    def check_cocycle(self, a):
-        a = tuple(int(x) for x in a)
-        if not self.valid_cocycle(a):
+        ):
             raise DomainError("invalid cocycle %r in %r" % (a, self))
         return a
 
 
+@dataclass(frozen=True)
 class Cochain:
     """An F2 linear combination of Schubert cocycles in one context.
 
@@ -56,15 +54,12 @@ class Cochain:
     not, and mod-2 cancellation is symmetric set difference.
     """
 
-    __slots__ = ("context", "support")
+    context: GrassmannContext
+    support: frozenset = frozenset()
 
-    def __init__(self, context, cocycles=()):
-        support = frozenset(context.check_cocycle(a) for a in cocycles)
-        object.__setattr__(self, "context", context)
+    def __post_init__(self):
+        support = frozenset(self.context.check_cocycle(a) for a in self.support)
         object.__setattr__(self, "support", support)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
 
     def is_zero(self):
         return not self.support
@@ -85,16 +80,6 @@ class Cochain:
         if other.context != self.context:
             raise DomainError("cannot add cochains from different contexts")
         return Cochain(self.context, self.support ^ other.support)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.context == other.context
-            and self.support == other.support
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.support))
 
     def __repr__(self):
         if self.is_zero():
@@ -334,3 +319,27 @@ def whitney_defect(context, d):
             continue
         acc = acc + pieri_special(special_class(context, i, W), j)
     return acc
+
+
+def check_heights(context):
+    """Report height(w_1) against its lower bound codim and, for n <= 2,
+    its known value: N - 1 on G_1(R^N) = RP^{N-1}, and 2^s - 2 on
+    G_2(R^N) with 2^{s-1} < N <= 2^s.
+    """
+    height = height_w1(context)
+    report = {"check": "heights", "n": context.n, "codim": context.codim,
+              "height_w1": height, "lower_bound": context.codim,
+              "ok": height >= context.codim}
+    if context.n <= 2:
+        ambient = context.ambient
+        report["expected"] = ambient - 1 if context.n == 1 else 2 ** (ambient - 1).bit_length() - 2
+        report["ok"] = report["ok"] and height == report["expected"]
+    return report
+
+
+def check_whitney(context):
+    """Report the degrees 1..N whose Whitney defect is a nonzero class."""
+    failing = [d for d in range(1, context.ambient + 1)
+               if not whitney_defect(context, d).is_zero()]
+    return {"check": "whitney", "n": context.n, "codim": context.codim,
+            "failing_degrees": failing, "ok": not failing}

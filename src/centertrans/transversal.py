@@ -1,10 +1,10 @@
 """Search for subspaces whose marginals all reach the improved depth bound.
 
-The inner problem (best common depth level of several planar marginals)
-is solved exactly by the level search of ``depth``: depth levels form a
-finite set of rationals, and the largest level at which one clip
-against every marginal's halfplanes stays nonempty is found by binary
-search with exact emptiness certificates.  The outer problem (which
+For n = 2 the inner problem (best common depth level of several planar
+marginals) is solved exactly by the level search of ``depth``: depth
+levels form a finite set of rationals, and the largest level at which
+one clip against every marginal's halfplanes stays nonempty is found by
+binary search with exact emptiness certificates.  The outer problem (which
 subspace) is random-restart hill climbing with plane-rotation moves; a
 move is accepted only when the exact objective strictly increases.
 
@@ -21,8 +21,9 @@ reaches the target, and otherwise reports the best objective with the
 lowest index, so identical seeds and inputs give identical reports.
 Frames are built and moved in plain Python, each sum rounded once by
 ``cloud.dot``, so the reports do not depend on the BLAS kernel either:
-numpy only draws the seeded normals.  For n >= 3 the witness comes from
-the seeded ascent of ``depth`` and the report is flagged approximate.
+numpy only draws the seeded normals.  For n = 1 and n >= 3 the witness
+comes from the seeded ascent of ``depth`` and the report is flagged
+approximate (``"exact": false``).
 """
 
 import math

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -90,6 +91,29 @@ def test_schubert_checks_pass(capsys):
         ["schubert", "--n", "2", "--codim", "3", "--check", "heights"], capsys
     )
     assert code == 0 and json.loads(out)["result"]["height_w1"] == 6
+
+
+# sha256 of the stdout of these schubert runs, concatenated; the manifest
+# carries the package version, so a version bump changes it too
+SCHUBERT_RUNS = [
+    ["--n", "2", "--m", "2", "--check", "main-obstruction"],
+    ["--n", "2", "--m", "2", "--check", "power2free"],
+    ["--n", "3", "--codim", "4", "--check", "whitney"],
+    ["--n", "2", "--codim", "5", "--check", "heights"],
+    ["--n", "1", "--codim", "4", "--check", "heights"],
+    ["--n", "3", "--codim", "3", "--check", "heights"],
+    ["--n", "2", "--codim", "5", "--exponents", "2,3"],
+]
+SCHUBERT_DIGEST = "27b34a180d82c3c6424bc7df78b79deb488b14ca1405a5110951406ef441c91c"
+
+
+def test_schubert_reports_pinned(capsys):
+    text = ""
+    for argv in SCHUBERT_RUNS:
+        code, out, _ = run_cli(["schubert"] + argv, capsys)
+        assert code == 0, argv
+        text += out
+    assert hashlib.sha256(text.encode()).hexdigest() == SCHUBERT_DIGEST
 
 
 def test_schubert_bad_input_exit_2(capsys):

@@ -417,6 +417,26 @@ def test_cloud_validation():
         WeightedPointCloud(2, [])
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tukey_depth(triangle_cloud(), (NAN, 0)),
+    lambda: tukey_depth(triangle_cloud(), (True, 0)),
+    lambda: WeightedPointCloud(2, [((NAN, 0), 1)]),
+    lambda: WeightedPointCloud(2, [((0, -INF), 1)]),
+    lambda: WeightedPointCloud(1, [((0,), True)]),
+    lambda: depth_region(triangle_cloud(), NAN),
+    lambda: halfspace_mass(triangle_cloud(), (1, 0), INF),
+    lambda: halfspace_mass(triangle_cloud(), (False, 1), 0),
+], ids=["point-nan", "point-bool", "atom-nan", "atom-inf", "weight-bool", "level-nan",
+        "offset-inf", "direction-bool"])
+def test_library_rejects_non_finite_and_boolean_numbers(call):
+    # float("nan") and float("inf") have no Fraction, and True is not the rational 1
+    with pytest.raises(DomainError):
+        call()
+
+
 @pytest.mark.parametrize(
     "rows, tolerance",
     [([(1, 0), (0, 1)], float("nan")), ([(1, 0), (0, 1)], float("inf")),

@@ -5,6 +5,8 @@ import pytest
 from centertrans.schubert import (
     Cochain,
     GrassmannContext,
+    check_heights,
+    check_whitney,
     height_w1,
     is_power_of_two,
     min_dimension,
@@ -110,6 +112,23 @@ def test_height_w1_examples():
     assert height_w1(ctx(1, 2)) == 2
     assert height_w1(ctx(2, 3)) == 6
     assert height_w1(ctx(2, 2)) == 2
+
+
+def test_check_heights_reports():
+    for n in range(1, 4):
+        for codim in range(0, 9):
+            r = check_heights(ctx(n, codim))
+            assert ("expected" in r) == (n <= 2), (n, codim)
+            assert r["ok"] and r["height_w1"] == height_w1(ctx(n, codim)), (n, codim)
+    assert check_heights(ctx(2, 3))["expected"] == 6  # G_2(R^5): 2^3 - 2
+    assert check_heights(ctx(1, 4))["expected"] == 4  # RP^4
+
+
+def test_check_whitney_reports():
+    for n in range(1, 5):
+        for codim in range(0, 7):
+            r = check_whitney(ctx(n, codim))
+            assert r["failing_degrees"] == [] and r["ok"], (n, codim)
 
 
 def test_min_dimension():
