@@ -11,22 +11,21 @@ whenever that point is unique.  Equality with the bound routes to the
 sufficient branch, where the region is achieved and full rank.
 
 The depth of the measure and its region come from one level search in
-``depth`` (the prefix/suffix interval on the line); only the sufficient
-case builds a second region, at the bound, from the same direction
-table.  Both come back as raw clip loops, and the report's DepthRegion
-puts the one it keeps in canonical form.
+``depth``, which reads a measure on the line as its atoms on the x axis
+of the plane; only the sufficient case builds a second region, at the
+bound, from the same direction table.  Both come back as raw clip
+loops, and the report's DepthRegion puts the one it keeps in canonical
+form.  On the line c is its first coordinate and no region is reported.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import thresholds
-from .cloud import _as_fraction
 from .depth import (
     DepthRegion,
     _DirectionTable,
     _deepest_common_region,
-    _interval_1d,
     _region_vertices,
     depth_of_measure,
 )
@@ -76,24 +75,13 @@ def classify(cloud, n):
 def center_point(cloud, n):
     """Associated point c of the measure, with its region and classification."""
     _check_exact_dim(cloud, n)
-    if cloud.dim == 2:
-        return _planar_center(_DirectionTable(cloud))
-    improved = thresholds(1)[1]
-    dm, interval = _interval_1d(cloud)
-    if dm >= improved:
-        _, interval = _interval_1d(cloud, improved)
-    if interval is None:
-        raise InternalConsistencyError(
-            "superlevel interval empty at an achieved level %s" % (min(dm, improved),)
-        )
-    lo, hi = interval
-    return _report(dm, improved, ((lo + hi) / 2,), None)
+    return _table_center(_DirectionTable(cloud), cloud.dim)
 
 
-def _planar_center(table):
-    """center_point of the planar cloud whose direction table this is;
-    ``transversal.verify`` passes the tables of its own level search."""
-    improved = thresholds(2)[1]
+def _table_center(table, n):
+    """center_point of the n-dimensional cloud whose direction table this
+    is; ``transversal.verify`` passes the tables of its own level search."""
+    improved = thresholds(n)[1]
     dm, verts = _deepest_common_region([table])
     if dm >= improved:
         verts = _region_vertices([table], improved)
@@ -101,14 +89,10 @@ def _planar_center(table):
     if not verts:
         raise InternalConsistencyError("superlevel region empty at an achieved level %s" % level)
     region = DepthRegion(verts, tau=level)
-    return _report(dm, improved, region.centroid(), region)
-
-
-def _report(dm, improved, c, region):
     return CenterReport(
         depth_of_measure=dm,
         threshold=improved,
         classification=INSUFFICIENT if dm < improved else SUFFICIENT,
-        c=tuple(_as_fraction(x) for x in c),
-        region=region,
+        c=region.centroid()[:n],
+        region=region if n == 2 else None,
     )

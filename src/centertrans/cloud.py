@@ -27,7 +27,7 @@ def _as_fraction(x):
         return parse_frac(x)  # refuses booleans
     try:
         return Fraction(x)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:
         raise DomainError("%r is not a finite number" % (x,)) from exc
 
 

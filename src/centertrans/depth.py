@@ -24,6 +24,8 @@ query emits only those.  One clip against the halfplanes of several
 clouds gives the intersection of their regions, and one binary search
 over their finite level set, read off the same sweep, finds the largest
 level at which it is nonempty: for one cloud, the depth of the measure.
+A measure on the line runs through the same sweep as its atoms on the
+x axis of the plane, where every point keeps its depth.
 The search probes no level that the theory already decides: none above
 (1 + heaviest atom) / 2, which no point exceeds, and for one cloud none
 below the first level at or above 1/3, which Rado's centerpoint theorem
@@ -324,6 +326,8 @@ def _angle_sorted(dirs):
 class _DirectionTable:
     """Angular sweep of one planar cloud, built and dropped by each query.
 
+    A cloud on the line is swept as its atoms (x, 0) on the x axis.
+
     The directions are the normals to atom differences (both
     orientations) and the four axes, sorted once by exact angle from
     (1, 0).  The atoms on each line through two of them are grouped in
@@ -355,9 +359,12 @@ class _DirectionTable:
     """
 
     def __init__(self, cloud):
-        if cloud.dim != 2:
-            raise DomainError("direction table requires a planar cloud")
+        if cloud.dim > 2:
+            raise DomainError("direction table requires a cloud on the line or in the plane")
         self.coord_scale, ipts = cloud.int_points
+        on_line = cloud.dim == 1
+        if on_line:
+            ipts = [(x, 0) for (x,) in ipts]
         self.weight_den, ws = cloud.int_weights
         xs = [p[0] for p in ipts]
         ys = [p[1] for p in ipts]
@@ -377,24 +384,29 @@ class _DirectionTable:
         # other atom on it, so only i's pairs append.  The blocks keep these
         # ints: take them from one list, not from a range per i
         index = list(range(len(pts)))
-        lines = {}
-        for i, (ax, ay) in zip(index, pts):
-            for j in index[i + 1:]:
-                bx, by = pts[j]
-                ny = ax - bx
-                if ny:
-                    nx = by - ay
-                    g = math.gcd(nx, ny)
-                    nx //= g
-                    ny //= g
-                else:
-                    nx = 1
-                key = (nx, ny, nx * ax + ny * ay)
-                atoms = lines.get(key)
-                if atoms is None:
-                    lines[key] = [i, j]
-                elif atoms[0] == i:
-                    atoms.append(j)
+        if on_line:
+            # every atom lies on the one line (0, 1, 0), where the first atom
+            # pairs with all the others: the pair loop would build the same
+            lines = {(0, 1, 0): index} if len(pts) > 1 else {}
+        else:
+            lines = {}
+            for i, (ax, ay) in zip(index, pts):
+                for j in index[i + 1:]:
+                    bx, by = pts[j]
+                    ny = ax - bx
+                    if ny:
+                        nx = by - ay
+                        g = math.gcd(nx, ny)
+                        nx //= g
+                        ny //= g
+                    else:
+                        nx = 1
+                    key = (nx, ny, nx * ax + ny * ay)
+                    atoms = lines.get(key)
+                    if atoms is None:
+                        lines[key] = [i, j]
+                    elif atoms[0] == i:
+                        atoms.append(j)
         ties = {}
         for (nx, ny, _), atoms in lines.items():
             ties.setdefault((nx, ny), []).append(atoms)
@@ -636,37 +648,12 @@ def _deepest_common_region(tables):
     raise InternalConsistencyError("no level at or above 1/3 meets, against Rado's theorem")
 
 
-def _interval_1d(cloud, level=None):
-    """(level, (lo, hi)) with [lo, hi] = {x : depth >= level} on the line.
-
-    A level of None means the depth of the measure; the interval is None
-    when the superlevel set is empty.
-    """
-    mass = {}
-    for (p,), w in cloud.atoms:
-        mass[p] = mass.get(p, Fraction(0)) + w
-    vals = sorted(mass)
-    prefix = list(accumulate(mass[v] for v in vals))
-    suffix = list(accumulate(mass[v] for v in reversed(vals)))[::-1]
-    if level is None:
-        # the maximum of min(mass <= x, mass >= x) is attained at an atom
-        level = max(map(min, prefix, suffix))
-    lo = next((v for v, m in zip(vals, prefix) if m >= level), None)
-    hi = next((v for v, m in zip(reversed(vals), reversed(suffix)) if m >= level), None)
-    if lo is None or hi is None or lo > hi:
-        return level, None
-    return level, (lo, hi)
-
-
 def depth_of_measure(cloud):
     """(max point depth, a maximizing point), exact; dim 1 and 2 only."""
-    if cloud.dim == 1:
-        level, (lo, hi) = _interval_1d(cloud)
-        return DepthValue(level, None), ((lo + hi) / 2,)
-    if cloud.dim == 2:
-        level, loop = _deepest_common_region([_DirectionTable(cloud)])
-        return DepthValue(level, None), polygon.centroid(loop)
-    raise DomainError("exact depth of a measure is only available in dimensions 1 and 2")
+    if cloud.dim > 2:
+        raise DomainError("exact depth of a measure is only available in dimensions 1 and 2")
+    level, loop = _deepest_common_region([_DirectionTable(cloud)])
+    return DepthValue(level, None), polygon.centroid(loop)[:cloud.dim]
 
 
 def _mean(cloud):
@@ -674,7 +661,8 @@ def _mean(cloud):
 
 
 def _ascent(clouds, start):
-    """Random ascent of the least depth over the clouds, from seed 0.
+    """Random ascent of the least depth over the clouds, from seed 0: the
+    witness of the transversal objective for n >= 3 only.
 
     Each step tries a Gaussian move of the current radius, snapped to
     rationals of bounded denominator, and keeps it only if the least exact

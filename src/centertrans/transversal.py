@@ -1,14 +1,15 @@
 """Search for subspaces whose marginals all reach the improved depth bound.
 
-For n = 2 the inner problem (best common depth level of several planar
-marginals) is solved exactly by the level search of ``depth``: depth
-levels form a finite set of rationals, and the largest level at which
-one clip against every marginal's halfplanes stays nonempty is found by
-binary search with exact emptiness certificates.  The outer problem (which
-subspace) is random-restart hill climbing with plane-rotation moves; a
-move is accepted only when the exact objective strictly increases.
+For n <= 2 the inner problem (best common depth level of several
+marginals in the plane, or on the line, read as its x axis) is solved
+exactly by the level search of ``depth``: depth levels form a finite
+set of rationals, and the largest level at which one clip against every
+marginal's halfplanes stays nonempty is found by binary search with
+exact emptiness certificates.  The outer problem (which subspace) is
+random-restart hill climbing with plane-rotation moves; a move is
+accepted only when the exact objective strictly increases.
 
-For n = 2 the objective equals the common level L: the witness, the
+For n <= 2 the objective equals the common level L: the witness, the
 centroid of the convex common region at L, has depth at least L in every
 marginal, and a least depth above L would put it in every region at a
 higher level.  So the restarts compare levels alone, and only
@@ -21,7 +22,7 @@ reaches the target, and otherwise reports the best objective with the
 lowest index, so identical seeds and inputs give identical reports.
 Frames are built and moved in plain Python, each sum rounded once by
 ``cloud.dot``, so the reports do not depend on the BLAS kernel either:
-numpy only draws the seeded normals.  For n = 1 and n >= 3 the witness
+numpy only draws the seeded normals.  For n >= 3 only, the witness
 comes from the seeded ascent of ``depth`` and the report is flagged
 approximate (``"exact": false``).
 """
@@ -35,7 +36,7 @@ from itertools import combinations
 
 from . import polygon
 from .bounds import min_dimension, thresholds
-from .centers import _planar_center, center_point
+from .centers import _table_center
 from .cloud import OrthoFrame, _as_fraction, dot
 from .depth import _ascent, _deepest_common_region, _DirectionTable, _mean, marginal, tukey_depth
 from .errors import DomainError, InternalConsistencyError
@@ -140,37 +141,38 @@ def _common_level(tables, marginals):
     direction tables, all intersect.
 
     Returns (level, witness) where the witness is the centroid of the
-    intersection; (0, mean of the first marginal) when even the lowest
-    level fails, as it does for marginals with disjoint hulls.
+    intersection, cut to the marginals' dimension; (0, mean of the first
+    marginal) when even the lowest level fails, as it does for marginals
+    with disjoint hulls.
     """
     level, loop = _deepest_common_region(tables)
     if not loop:
         return Fraction(0), _mean(marginals[0])
-    return level, polygon.centroid(loop)
+    return level, polygon.centroid(loop)[:marginals[0].dim]
 
 
 def _objective_parts(frame, clouds, n):
-    """(objective, witness, depths, marginals, their direction tables if n = 2)."""
+    """(objective, witness, depths, the marginals' direction tables if n <= 2)."""
     marginals = [marginal(c, frame) for c in clouds]
-    tables = [_DirectionTable(m) for m in marginals] if n == 2 else None
-    if n == 2:
+    tables = [_DirectionTable(m) for m in marginals] if n <= 2 else None
+    if n <= 2:
         level, witness = _common_level(tables, marginals)
     else:
         start = [sum(c) / len(marginals) for c in zip(*map(_mean, marginals))]
         witness, _ = _ascent(marginals, start)
     per = tuple(tukey_depth(m, witness).value for m in marginals)
-    if n == 2 and min(per) != level:
+    if n <= 2 and min(per) != level:
         raise InternalConsistencyError(
             "least depth %s at the witness is not the common level %s" % (min(per), level)
         )
-    return min(per), witness, per, marginals, tables
+    return min(per), witness, per, tables
 
 
 def objective(frame, clouds, n):
     """(exact least depth at the witness, witness point) for the frame.
 
     The value is the minimum over measures of the exact depth at the
-    witness.  For n = 2 the witness is the centroid of the deepest common
+    witness.  For n <= 2 the witness is the centroid of the deepest common
     region, and the value equals the common level.
     """
     _check_clouds(frame, clouds)
@@ -199,20 +201,15 @@ def verify(frame, clouds, n, target=None):
 
     The report carries no search record: restart_index and config are
     None and the trajectory is empty.  The target defaults to the
-    improved bound.  For n = 2 the c-points reuse the direction tables of
+    improved bound.  For n <= 2 the c-points reuse the direction tables of
     the level search; building them again would add about 13%.
     """
     _check_clouds(frame, clouds)
     if frame.n != n:
         raise DomainError("frame has %d rows, expected n = %d" % (frame.n, n))
     target = _target(target, n)
-    value, witness, per, marginals, tables = _objective_parts(frame, clouds, n)
-    if n == 2:
-        c_points = tuple(_planar_center(t).c for t in tables)
-    elif n == 1:
-        c_points = tuple(center_point(m, n).c for m in marginals)
-    else:
-        c_points = ()
+    value, witness, per, tables = _objective_parts(frame, clouds, n)
+    c_points = tuple(_table_center(t, n).c for t in tables) if n <= 2 else ()
     spread = max((math.sqrt(sum(float(a - b) ** 2 for a, b in zip(p, q)))
                   for p, q in combinations(c_points, 2)), default=0.0)
     failing = tuple(i for i, v in enumerate(per) if v < target)
@@ -227,7 +224,7 @@ def verify(frame, clouds, n, target=None):
         success=not failing,
         target=target,
         failing_measures=failing,
-        exact=n == 2,
+        exact=n <= 2,
     )
 
 
@@ -238,8 +235,8 @@ def _run_restart(index, seed, clouds, n, target, config):
     import numpy as np
 
     def value(frame):
-        # for n = 2 the objective is the common level: no witness needed
-        if n == 2:
+        # for n <= 2 the objective is the common level: no witness needed
+        if n <= 2:
             return _deepest_common_region([_DirectionTable(marginal(c, frame)) for c in clouds])[0]
         return _objective_parts(frame, clouds, n)[0]
 

@@ -6,11 +6,13 @@ same depth by a binary search over the levels of one angular sweep.
 depth_3d_by_pairs is the 3-D point depth that tries every pair of
 offsets, and depth_4d_by_triples the 4-D one that tries every triple;
 depth.tukey_depth reduces each offset line to a count one dimension
-down.
+down.  interval_1d is the superlevel interval on the line from prefix
+and suffix weights; depth.depth_of_measure and centers.center_point run
+a line through the planar level search instead.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from centertrans.depth import DepthValue, _dot, _int_offsets, tukey_depth
 from centertrans.errors import DomainError
@@ -46,6 +48,28 @@ def depth_of_measure_by_candidates(cloud):
         if best_val is None or val > best_val:
             best_val, best_pt = val, cand
     return DepthValue(best_val, None), best_pt
+
+
+def interval_1d(cloud, level=None):
+    """(level, (lo, hi)) with [lo, hi] = {x : depth >= level} on the line.
+
+    A level of None means the depth of the measure; the interval is None
+    when the superlevel set is empty.
+    """
+    mass = {}
+    for (p,), w in cloud.atoms:
+        mass[p] = mass.get(p, Fraction(0)) + w
+    vals = sorted(mass)
+    prefix = list(accumulate(mass[v] for v in vals))
+    suffix = list(accumulate(mass[v] for v in reversed(vals)))[::-1]
+    if level is None:
+        # the maximum of min(mass <= x, mass >= x) is attained at an atom
+        level = max(map(min, prefix, suffix))
+    lo = next((v for v, m in zip(vals, prefix) if m >= level), None)
+    hi = next((v for v, m in zip(reversed(vals), reversed(suffix)) if m >= level), None)
+    if lo is None or hi is None or lo > hi:
+        return level, None
+    return level, (lo, hi)
 
 
 def _cross3(a, b):

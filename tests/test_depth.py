@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from centertrans.centers import C_CONVENTION, INSUFFICIENT, SUFFICIENT, center_point
 from centertrans.cloud import OrthoFrame, WeightedPointCloud, apply_affine
 from centertrans.depth import (
     depth_of_measure,
@@ -18,7 +19,7 @@ from centertrans.errors import DomainError
 from centertrans.generators import generate_cloud
 from centertrans.serialize import frac_str
 from reference_depth import (
-    depth_3d_by_pairs, depth_4d_by_triples, depth_of_measure_by_candidates,
+    depth_3d_by_pairs, depth_4d_by_triples, depth_of_measure_by_candidates, interval_1d,
 )
 
 F = Fraction
@@ -284,6 +285,36 @@ def test_depth_of_measure_1d():
     assert dv.value == F(1, 2) and pt == (F(1, 2),)
 
 
+def line_clouds(count, seed):
+    """Seeded clouds on the line: one atom, then 1-12 atoms on a small grid
+    of halves and thirds, so that atoms repeat, with weights 1-5."""
+    yield cloud_1d([F(-7, 3)])
+    rng = random.Random(seed)
+    for _ in range(count - 1):
+        k = rng.randint(1, 12)
+        values = [F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(k)]
+        raw = [rng.randint(1, 5) for _ in range(k)]
+        yield cloud_1d(values, [F(w, sum(raw)) for w in raw])
+
+
+def test_line_measures_match_interval_oracle():
+    # the planar level search on the x axis against prefix/suffix intervals
+    improved = thresholds(1)[1]
+    for c in line_clouds(400, 41):
+        level, (lo, hi) = interval_1d(c)
+        dv, pt = depth_of_measure(c)
+        assert (dv.value, pt) == (level, ((lo + hi) / 2,))
+        _, (lo, hi) = interval_1d(c, min(level, improved))
+        assert center_point(c, 1).to_dict() == {
+            "depth_of_measure": frac_str(level),
+            "threshold": frac_str(improved),
+            "classification": INSUFFICIENT if level < improved else SUFFICIENT,
+            "c": [frac_str((lo + hi) / 2)],
+            "region": None,
+            "convention": C_CONVENTION,
+        }
+
+
 def test_depth_of_measure_triangle():
     dv, pt = depth_of_measure(triangle_cloud())
     assert dv.value == F(1, 3)
@@ -435,6 +466,20 @@ def test_library_rejects_non_finite_and_boolean_numbers(call):
     # float("nan") and float("inf") have no Fraction, and True is not the rational 1
     with pytest.raises(DomainError):
         call()
+
+
+def test_library_rejects_non_numeric_objects():
+    # Fraction raises TypeError on these; the library reads them as bad input
+    tri = triangle_cloud()
+    for call in (
+        lambda: tukey_depth(tri, (None, 0)),
+        lambda: tukey_depth(tri, ([1], 0)),
+        lambda: depth_region(tri, None),
+        lambda: WeightedPointCloud(2, [((object(), 0), 1)]),
+        lambda: halfspace_mass(tri, (1, 0), 1j),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -204,6 +204,25 @@ def test_named_clouds_match_sweep(name):
     assert_matches_sweep(SWEEP_CASES[name])
 
 
+LINE_CASES = {
+    "one atom": [(F(3, 2), 1)],
+    "two atoms": [(F(0), 1), (F(5), 3)],
+    "repeated atoms": [(F(1), 2), (F(-1), 1), (F(1), 1), (F(-1), 2), (F(0), 1)],
+    "unequal weights": [(F(v, 3), w) for v, w in zip((-4, 7, 0, 2, -9, 5), (1, 4, 2, 5, 3, 1))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CASES))
+def test_line_table_is_the_sweep_on_the_x_axis(name):
+    # a cloud on the line skips the pair loop and names its one line directly
+    total = sum(w for _, w in LINE_CASES[name])
+    atoms = [(x, F(w, total)) for x, w in LINE_CASES[name]]
+    table = _DirectionTable(WeightedPointCloud(1, [((x,), w) for x, w in atoms]))
+    ref = reference_sweep(WeightedPointCloud(2, [((x, F(0)), w) for x, w in atoms]))
+    for field in TABLE_FIELDS:
+        assert getattr(table, field) == getattr(ref, field), field
+
+
 def test_seeded_grid_clouds_match_sweep():
     rng = np.random.default_rng(73)
     for _ in range(40):

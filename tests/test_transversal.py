@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from centertrans.centers import center_point
 from centertrans.cloud import OrthoFrame, WeightedPointCloud, quantize_entry
-from centertrans.depth import depth_of_measure, marginal
+from centertrans.depth import depth_of_measure, marginal, tukey_depth
 from centertrans.errors import DomainError
 from centertrans.generators import generate_cloud
 from centertrans.serialize import dump_json
@@ -232,3 +233,37 @@ def test_search_trajectory_lists_every_restart_run():
     # the search stops at the first restart that reaches the target
     assert easy.success
     assert [row[0] for row in easy.trajectory] == list(range(easy.restart_index + 1))
+
+
+def brute_common_level(marginals):
+    """Largest least depth over the line marginals, tried at every atom and
+    between neighbouring atoms, where the least depth is constant."""
+    xs = sorted({x for m in marginals for (x,), _ in m.atoms})
+    probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    return max(min(tukey_depth(m, (x,)).value for m in marginals) for x in probes)
+
+
+def test_transversal_n1_is_exact():
+    # n = 1 runs the level search on the marginals read as the x axis
+    a = generate_cloud("gaussian-quantized", seed=1, atoms=6, dim=3)
+    b = generate_cloud("gaussian-quantized", seed=2, atoms=6, dim=3)
+
+    def run():
+        checked = verify(random_frame(3, 1, 0), [a, b], 1)
+        found = search([a, b], 1, SearchConfig(restarts=2, local_steps=1, master_seed=4))
+        return checked, found
+
+    reports = run()
+    for rep in reports:
+        marginals = [marginal(c, rep.frame) for c in (a, b)]
+        assert rep.exact
+        assert rep.objective == min(rep.per_measure_depths) == brute_common_level(marginals)
+        assert rep.c_points == tuple(center_point(m, 1).c for m in marginals)
+    assert [dump_json(r.to_dict()) for r in run()] == [dump_json(r.to_dict()) for r in reports]
+    # the triangle's x marginal has depth 2/3 only at the atom x = 0
+    tri = WeightedPointCloud(2, [((F(0), F(0)), F(1, 3)), ((F(1), F(0)), F(1, 3)),
+                                 ((F(0), F(1)), F(1, 3))])
+    rep = verify(OrthoFrame([[1.0, 0.0]]), [tri], 1)
+    assert rep.exact and rep.success
+    assert rep.objective == F(2, 3)
+    assert rep.witness_point == (F(0),) and rep.c_points == ((F(0),),)
