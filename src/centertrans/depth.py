@@ -29,8 +29,11 @@ x axis of the plane, where every point keeps its depth.
 The search probes no level that the theory already decides: none above
 (1 + heaviest atom) / 2, which no point exceeds, and for one cloud none
 below the first level at or above 1/3, which Rado's centerpoint theorem
-guarantees.  Each query builds the tables it reads and drops them: none
-is kept on a cloud.
+guarantees.  A caller that only asks whether the regions meet above a
+level passes it as a floor, the third bound: the search probes nothing
+at or below it, and one empty region just above it ends the search.
+Each query builds the tables it reads and drops them: none is kept on a
+cloud.
 
 The clip runs in homogeneous integer coordinates: every halfplane is
 rescaled to the common coordinate scale of the clouds, each vertex is
@@ -600,42 +603,52 @@ def depth_region(cloud, tau):
     return DepthRegion(_region_vertices([_DirectionTable(cloud)], tau), tau=tau)
 
 
-def _deepest_common_region(tables):
+def _deepest_common_region(tables, floor=None):
     """(largest level whose regions all meet, their intersection there).
 
     The regions are those of the clouds whose direction tables these
     are.  Binary search over the union of the tables' levels; nonemptiness
     is monotone in the level, so the probe order does not change the
-    answer.  Two bounds keep it off levels whose answer is known:
+    answer.  Three bounds keep it off levels whose answer is known or not
+    wanted:
 
     - Cap.  No point is deeper than (1 + m) / 2 in a cloud whose heaviest
       atom has mass m: a line through the point that meets no other atom
       bounds two closed halfplanes of total mass at most 1 + m.  So no
       level above the least cap of the tables meets, and the first probe
       is the highest level at or below it.
-    - Floor.  For one table, by Rado's centerpoint theorem some point has
+    - Rado.  For one table, by Rado's centerpoint theorem some point has
       depth at least 1/3; the depth of the measure is a level, so the
       first level at or above 1/3 meets.  The search starts just below it
       and never probes lower; as mid rounds up, it still probes that
       level whenever every level above it fails.
+    - Floor.  A caller that only needs to know whether the regions meet
+      above a given level passes it as floor.  The first probe is then
+      the lowest level above the floor that the other two bounds leave
+      open; if it fails, no higher level meets and the search ends
+      there.  If it meets, the search goes on as without a floor, cap
+      first, and never probes at or below the floor.  With no such
+      level it builds no region at all.
 
     The intersection is the raw loop of _region_vertices: the search
     compares levels only, and a caller that reports the region wraps it
-    in a DepthRegion.  (0, ()) when several regions meet at no level;
-    for one table, a failing floor level raises InternalConsistencyError.
+    in a DepthRegion.  (0, ()) when the regions meet at no level (above
+    the floor, if one is given); for one table, a failing Rado level
+    raises InternalConsistencyError.
     """
     levels = sorted({Fraction(lv, t.weight_den) for t in tables for lv in t.levels})
     cap = min(Fraction(t.weight_den + t.heaviest, 2 * t.weight_den) for t in tables)
-    hi = bisect_right(levels, cap) - 1
-    best = _region_vertices(tables, levels[hi])
-    if best:
-        return levels[hi], best
-    # levels[hi] fails, and no level below levels[lo + 1] is probed: for
-    # one table the first level at or above 1/3, which must meet.  Rounding
-    # mid up probes levels[lo + 1] only when every level above it failed
-    lo = start = (bisect_left(levels, Fraction(1, 3)) if len(tables) == 1 else 0) - 1
+    # levels[lo] meets or is not probed (lo == start); levels[hi] fails or
+    # lies above the cap.  No level at or below levels[start] is probed
+    rado = bisect_left(levels, Fraction(1, 3)) - 1 if len(tables) == 1 else -1
+    lo = start = rado if floor is None else max(rado, bisect_right(levels, floor) - 1)
+    hi = bisect_right(levels, cap)
+    best = ()
+    # the floor's probe, then the cap's; then mid rounds up, so it probes
+    # levels[start + 1] only when every level above it failed
+    firsts = iter(([lo + 1] if floor is not None else []) + [hi - 1])
     while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
+        mid = next(firsts, (lo + hi + 1) // 2)
         loop = _region_vertices(tables, levels[mid])
         if loop:
             lo, best = mid, loop
@@ -643,7 +656,7 @@ def _deepest_common_region(tables):
             hi = mid
     if lo > start:
         return levels[lo], best
-    if len(tables) > 1:
+    if len(tables) > 1 or start > rado:
         return Fraction(0), ()
     raise InternalConsistencyError("no level at or above 1/3 meets, against Rado's theorem")
 

@@ -94,6 +94,8 @@ def generate_cloud(
     if atoms < 1 or denominator < 1 or dim < 1:
         raise DomainError("atoms (%r), dim (%r) and denominator (%r) must be >= 1"
                           % (atoms, dim, denominator))
+    if isinstance(seed, int) and seed < 0:
+        raise DomainError("seed must be >= 0, got %d" % seed)
     if spread is not None and family != "adversarial-three-cluster":
         raise DomainError("%s takes no spread; only adversarial-three-cluster does" % family)
     if spread is not None and not math.isfinite(spread):

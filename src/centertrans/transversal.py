@@ -14,7 +14,10 @@ centroid of the convex common region at L, has depth at least L in every
 marginal, and a least depth above L would put it in every region at a
 higher level.  So the restarts compare levels alone, and only
 ``verify`` builds the witness, checking that its least depth is the
-level.
+level.  Regions nest as the level rises, so a move beats the best level
+exactly when its regions meet at the next level above it: each move's
+level search takes the best level as its floor and probes that level
+first, which settles most rejected moves with one region.
 
 Restarts run one after another.  Each draws its randomness from its own
 child of the master seed, the search stops at the first restart that
@@ -59,6 +62,8 @@ class SearchConfig:
             raise DomainError("decay must lie in (0, 1)")
         if not 0 < self.initial_angle <= math.pi:
             raise DomainError("initial angle must lie in (0, pi]")
+        if self.master_seed < 0:
+            raise DomainError("seed must be >= 0, got %d" % self.master_seed)
 
     def to_dict(self):
         return {
@@ -115,6 +120,8 @@ def random_frame(ambient, n, seed):
 
     if not 1 <= n <= ambient:
         raise DomainError("need 1 <= n <= ambient")
+    if isinstance(seed, int) and seed < 0:
+        raise DomainError("seed must be >= 0, got %d" % seed)
     rng = np.random.default_rng(seed)
     return OrthoFrame(_orthonormalize(rng.standard_normal((n, ambient))))
 
@@ -234,10 +241,14 @@ _RestartResult = namedtuple("_RestartResult", "index objective frame success")
 def _run_restart(index, seed, clouds, n, target, config):
     import numpy as np
 
-    def value(frame):
-        # for n <= 2 the objective is the common level: no witness needed
+    def value(frame, floor=None):
+        # for n <= 2 the objective is the common level: no witness needed.
+        # A move must beat the best level, so its level search takes that as
+        # its floor: one probe just above it rejects most moves, a move that
+        # passes gets its exact level, and a rejected one reads 0
         if n <= 2:
-            return _deepest_common_region([_DirectionTable(marginal(c, frame)) for c in clouds])[0]
+            tables = [_DirectionTable(marginal(c, frame)) for c in clouds]
+            return _deepest_common_region(tables, floor)[0]
         return _objective_parts(frame, clouds, n)[0]
 
     rng = np.random.default_rng(seed)
@@ -257,7 +268,7 @@ def _run_restart(index, seed, clouds, n, target, config):
         turned = [cos * a + sin * (b / nrm) for a, b in zip(rows[row], d)]
         nrm = math.sqrt(dot(turned, turned))
         cand = OrthoFrame(rows[:row] + (tuple(x / nrm for x in turned),) + rows[row + 1:])
-        val = value(cand)
+        val = value(cand, best_val)
         if val > best_val:
             frame, best_val = cand, val
             angle = config.initial_angle

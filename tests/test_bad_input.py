@@ -13,10 +13,11 @@ through every input path once.
 
 Bad argument values get the same treatment: one option of an otherwise
 valid command (``--point``, ``--region``, ``--target``, ``--n``, ``--m``,
-``--codim``, the search parameters and the ``gen`` options) takes a value
-out of its range, drawn from that range's complement, or one from a
-catalogue.  Values that argparse refuses itself (not a number) exit 2 by
-``SystemExit``, with argparse's usage line and one ``prog: error:`` line.
+``--codim``, the search parameters, the seeds and the ``gen`` options)
+takes a value out of its range, drawn from that range's complement, or
+one from a catalogue.  Values that argparse refuses itself (not a
+number) exit 2 by ``SystemExit``, with argparse's usage line and one
+``prog: error:`` line.
 """
 
 import contextlib
@@ -313,7 +314,9 @@ ARGUMENT_COMMANDS = {
     "--local-steps": ["transversal", "--input", "{tri}"],
     "--angle": ["transversal", "--input", "{tri}"],
     "--decay": ["transversal", "--input", "{tri}"],
+    "transversal --seed": ["transversal", "--input", "{tri}"],
     "--atoms": ["gen", "--family", "gaussian-quantized"],
+    "gen --seed": ["gen", "--family", "gaussian-quantized"],
     "--denominator": ["gen", "--family", "uniform-ball"],
     "--spread": ["gen", "--family", "uniform-ball"],
     "cluster --spread": ["gen", "--family", "adversarial-three-cluster"],
@@ -348,7 +351,9 @@ ARGUMENT_CATALOGUE = {
     "--local-steps": ["-1"] + NOT_AN_INTEGER,
     "--angle": ["0", "-1", "4", "nan", "inf", "-inf"] + NOT_A_NUMBER,
     "--decay": ["0", "1", "2", "-0.5", "nan", "-inf"] + NOT_A_NUMBER,
+    "transversal --seed": ["-1"] + NOT_AN_INTEGER,
     "--atoms": ["0", "-1"] + NOT_AN_INTEGER,
+    "gen --seed": ["-1"] + NOT_AN_INTEGER,
     "--denominator": ["0", "-5"] + NOT_AN_INTEGER,
     "--spread": ["5", "0.05", "0", "nan"] + NOT_A_NUMBER,
     "cluster --spread": ["nan", "inf", "-inf"] + NOT_A_NUMBER,
@@ -392,7 +397,9 @@ GENERATED_ARGUMENTS = {
         lambda x: x > math.pi), st.sampled_from([math.nan, math.inf, -math.inf])),
     "--decay": st.one_of(_finite(max_value=0), _finite(min_value=1),
                          st.sampled_from([math.nan, math.inf, -math.inf])),
+    "transversal --seed": st.integers(max_value=-1),
     "--atoms": st.integers(max_value=0),
+    "gen --seed": st.integers(max_value=-1),
     "--denominator": st.integers(max_value=0),
     # no family but the cluster one takes a spread, whatever its value
     "--spread": st.floats(),

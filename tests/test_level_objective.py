@@ -3,8 +3,9 @@
 ``_run_restart`` compares levels alone and builds no witness; ``verify``
 builds the witness and checks that its least depth is the level.  The
 oracle below is the restart loop that evaluated the whole objective
-(witness and exact depths) at every move; the level-only loop must make
-the same accept decisions and reach the same objectives.
+(witness and exact depths) at every move; the level-only loop, whose
+moves search only above the best level so far, must make the same
+accept decisions and reach the same objectives, for n = 1 too.
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from centertrans import transversal
+from centertrans import depth, transversal
 from centertrans.cloud import OrthoFrame, WeightedPointCloud, dot
 from centertrans.depth import _deepest_common_region, _DirectionTable, marginal
 from centertrans.errors import InternalConsistencyError
@@ -90,19 +91,80 @@ def _oracle_restart(seed, clouds, n, target, config):
     return best_val, frame, accepted
 
 
+def _adversarial_pair():
+    # planar three-cluster clouds embedded in R^7: their marginals stay near
+    # depth 1/3, so the improved bound 28/81 is out of reach (ROADMAP item 2)
+    return tuple(generate_cloud("adversarial-three-cluster", seed=s, atoms=9, ambient=7)
+                 for s in (51, 52))
+
+
+def _unequal_pair():
+    # random weights: the common level of line marginals moves with the frame
+    return tuple(generate_cloud("gaussian-quantized", seed=s, atoms=9, dim=7,
+                                weight_mode="random") for s in (31, 32))
+
+
 def test_restart_matches_full_objective_oracle():
-    clouds = _pairs()["criterion-9 pair 1"]
+    # targets out of reach: every restart runs all its moves.  The loops
+    # agree on accepted moves, not only on rejections; on the adversarial
+    # pair the level stays at 1/3 and every move is rejected
+    cases = [
+        (_pairs()["criterion-9 pair 1"], 2, F(1), True),
+        (_unequal_pair(), 1, F(1), True),
+        (_adversarial_pair(), 2, F(28, 81), False),
+    ]
     config = SearchConfig(restarts=4, local_steps=10, master_seed=5)
-    target = F(1)  # unreachable: every restart runs all its moves
-    accepted = 0
-    for index, seed in enumerate(np.random.SeedSequence(5).spawn(4)):
-        want, frame, moves = _oracle_restart(seed, clouds, 2, target, config)
-        got = _run_restart(index, seed, clouds, 2, target, config)
-        assert got.objective == want
-        assert got.frame.rows == frame.rows
-        assert not got.success
-        accepted += moves
-    assert accepted > 0  # the loops agree on accepted moves, not only on rejections
+    for clouds, n, target, accepts in cases:
+        accepted = 0
+        for index, seed in enumerate(np.random.SeedSequence(5).spawn(4)):
+            want, frame, moves = _oracle_restart(seed, clouds, n, target, config)
+            got = _run_restart(index, seed, clouds, n, target, config)
+            assert got.objective == want
+            assert got.frame.rows == frame.rows
+            assert not got.success
+            accepted += moves
+        assert (accepted > 0) == accepts
+
+
+@pytest.mark.parametrize("name", ["criterion-9 pair 1", "adversarial"])
+def test_rejected_moves_build_one_region(monkeypatch, name):
+    """A move passes the best level as the floor of its level search, and a
+    move the floor rejects builds at most one region: the probe just above
+    the floor.  Only a restart's first frame searches without a floor."""
+    clouds = _adversarial_pair() if name == "adversarial" else _pairs()[name]
+    builds = []
+    calls = []  # (floor, regions built, level) per level search
+    region = depth._region_vertices
+    level_search = transversal._deepest_common_region
+
+    def counting(tables, tau):
+        builds.append(tau)
+        return region(tables, tau)
+
+    def recording(tables, floor=None):
+        before = len(builds)
+        got = level_search(tables, floor)
+        calls.append((floor, len(builds) - before, got[0]))
+        return got
+
+    monkeypatch.setattr(depth, "_region_vertices", counting)
+    monkeypatch.setattr(transversal, "_deepest_common_region", recording)
+    config = SearchConfig(restarts=3, local_steps=25, master_seed=7)
+    rejected = 0
+    for index, seed in enumerate(np.random.SeedSequence(7).spawn(3)):
+        calls.clear()
+        _run_restart(index, seed, clouds, 2, F(1), config)
+        assert calls[0][0] is None
+        assert len(calls) == 1 + config.local_steps
+        best = calls[0][2]
+        for floor, built, level in calls[1:]:
+            assert floor == best
+            if level > floor:
+                best = level
+            else:
+                assert built <= 1
+                rejected += 1
+    assert rejected > 0
 
 
 def test_verify_raises_when_least_depth_is_not_the_level(monkeypatch):

@@ -5,8 +5,12 @@ of the heaviest atom m, and for one table none below the first level at
 or above 1/3 (Rado).  reference_table.reference_deepest_common_region
 bisects over every level, top first; the two must give exactly the same
 level and raw loop, on clouds where a bound is itself the answer too.
+With a floor, the search must give the same answer when its level is
+above the floor and (0, ()) otherwise, at every level and midpoint, and
+probe nothing at or below the floor.
 """
 
+import contextlib
 from fractions import Fraction
 
 import numpy as np
@@ -37,8 +41,9 @@ def cap(table):
     return F(table.weight_den + table.heaviest, 2 * table.weight_den)
 
 
-def floor_level(table):
-    """The first level of the table at or above 1/3."""
+def rado_level(table):
+    """The first level of the table at or above 1/3, where Rado's theorem
+    lets a one-table search start."""
     return min(lv for lv in (F(v, table.weight_den) for v in table.levels) if lv >= F(1, 3))
 
 
@@ -92,9 +97,9 @@ def test_bounds_are_the_answer():
     # the cap: a lone atom, and the heavy centre of the square
     assert cap(_DirectionTable(CASES["one atom"][0][0])) == 1
     assert cap(_DirectionTable(SQUARE)) == F(3, 5)
-    # the floor: the adversarial clouds reach exactly 1/3, itself a level
+    # Rado's level: the adversarial clouds reach exactly 1/3, itself a level
     for c in (ADVERSARIAL_24, ADVERSARIAL_25):
-        assert floor_level(_DirectionTable(c)) == F(1, 3)
+        assert rado_level(_DirectionTable(c)) == F(1, 3)
 
 
 def grid_cloud(rng, n_atoms):
@@ -117,9 +122,12 @@ def test_seeded_cloud_sets_match_reference():
     assert empty > 0
 
 
-@pytest.mark.parametrize("family, atoms, seed", [
+GENERATED_CLOUDS = [
     ("gaussian-quantized", 25, 101), ("uniform-ball", 30, 5), ("adversarial-three-cluster", 48, 3),
-])
+]
+
+
+@pytest.mark.parametrize("family, atoms, seed", GENERATED_CLOUDS)
 def test_generated_clouds_match_reference(family, atoms, seed):
     assert_matches_reference([generate_cloud(family, seed=seed, atoms=atoms, dim=2)])
 
@@ -138,8 +146,8 @@ def test_level_search_matches_reference_property(clouds):
     assert_matches_reference(clouds)
 
 
-@pytest.fixture
-def probes(monkeypatch):
+@contextlib.contextmanager
+def recorded_probes():
     """The levels at which _deepest_common_region builds a region, in order."""
     seen = []
     region = depth._region_vertices
@@ -148,8 +156,15 @@ def probes(monkeypatch):
         seen.append(tau)
         return region(tables, tau)
 
-    monkeypatch.setattr(depth, "_region_vertices", recording)
-    return seen
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depth, "_region_vertices", recording)
+        yield seen
+
+
+@pytest.fixture
+def probes():
+    with recorded_probes() as seen:
+        yield seen
 
 
 # the base clouds of the deepest-point benchmark workload
@@ -165,8 +180,8 @@ def test_one_table_probes_stay_between_the_bounds(probes, family, atoms, seed):
     level, _ = _deepest_common_region([table])
     levels = [F(v, table.weight_den) for v in table.levels]
     assert probes[0] == max(lv for lv in levels if lv <= cap(table))
-    assert all(floor_level(table) <= tau <= cap(table) for tau in probes)
-    # the answer is probed, the floor level 1/3 of the adversarial cloud too
+    assert all(rado_level(table) <= tau <= cap(table) for tau in probes)
+    # the answer is probed, Rado's level 1/3 of the adversarial cloud too
     assert level in probes
     # every probe answers a question the bounds leave open: none repeats
     assert len(set(probes)) == len(probes)
@@ -176,12 +191,12 @@ def test_one_table_probes_stay_between_the_bounds(probes, family, atoms, seed):
 def test_empty_floor_region_raises(monkeypatch, c):
     region = depth._region_vertices
     table = _DirectionTable(c)
-    floor = floor_level(table)
+    rado = rado_level(table)
 
-    def empty_at_floor(tables, tau):
-        return () if tau == floor else region(tables, tau)
+    def empty_at_rado(tables, tau):
+        return () if tau == rado else region(tables, tau)
 
-    monkeypatch.setattr(depth, "_region_vertices", empty_at_floor)
+    monkeypatch.setattr(depth, "_region_vertices", empty_at_rado)
     with pytest.raises(InternalConsistencyError):
         _deepest_common_region([table])
 
@@ -193,3 +208,56 @@ def test_empty_regions_raise_for_one_table_only(monkeypatch):
         _deepest_common_region([_DirectionTable(c)])
     # several regions may have no level in common
     assert _deepest_common_region([_DirectionTable(c), _DirectionTable(c)]) == (F(0), ())
+
+
+def floors(levels):
+    """0, every level and every midpoint between two consecutive levels."""
+    return [F(0)] + levels + [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+
+
+def assert_floors_match_reference(clouds):
+    """At every floor the search returns the reference answer if its level
+    is above the floor, and (0, ()) otherwise, after a first probe at the
+    lowest level the bounds leave open and none at or below the floor."""
+    tables = [_DirectionTable(c) for c in clouds]
+    want = reference_deepest_common_region(tables)
+    levels = sorted({F(v, t.weight_den) for t in tables for v in t.levels})
+    # the levels the cap and, for one table, Rado leave open
+    lowest = rado_level(tables[0]) if len(tables) == 1 else 0
+    bracketed = [lv for lv in levels if lowest <= lv <= min(map(cap, tables))]
+    for floor in floors(levels):
+        with recorded_probes() as seen:
+            got = _deepest_common_region(tables, floor)
+        above = want[0] > floor
+        assert got == (want if above else (F(0), ()))
+        assert all(tau > floor for tau in seen)
+        first = min((lv for lv in bracketed if lv > floor), default=None)
+        assert seen[:1] == ([] if first is None else [first])
+        if not above:
+            assert len(seen) <= 1  # one probe rejects
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_floored_named_clouds_match_reference(name):
+    assert_floors_match_reference(CASES[name][0])
+
+
+def test_floored_seeded_clouds_match_reference():
+    rng = np.random.default_rng(183)
+    for _ in range(20):
+        assert_floors_match_reference([grid_cloud(rng, int(rng.integers(1, 13)))])
+    for _ in range(10):
+        assert_floors_match_reference(
+            [grid_cloud(rng, int(rng.integers(1, 8))) for _ in range(int(rng.integers(2, 4)))]
+        )
+
+
+@pytest.mark.parametrize("family, atoms, seed", GENERATED_CLOUDS)
+def test_floored_generated_clouds_match_reference(family, atoms, seed):
+    assert_floors_match_reference([generate_cloud(family, seed=seed, atoms=atoms, dim=2)])
+
+
+@settings(max_examples=150, derandomize=True)
+@given(clouds=grid_clouds())
+def test_floored_search_matches_reference_property(clouds):
+    assert_floors_match_reference(clouds)

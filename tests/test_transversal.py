@@ -57,6 +57,18 @@ def test_random_frame_full_basis_and_errors():
         random_frame(2, 3, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: SearchConfig(master_seed=-1),
+    lambda: random_frame(3, 2, -1),
+    lambda: generate_cloud("gaussian-quantized", seed=-1),
+    lambda: generate_cloud("adversarial-three-cluster", seed=-7, ambient=7),
+], ids=["search-config", "random-frame", "gaussian", "cluster"])
+def test_library_rejects_negative_seeds(call):
+    # numpy raises a plain ValueError on a negative seed
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        call()
+
+
 def test_objective_single_measure_reduces_to_depth():
     c2 = planar_cloud()
     c3 = embedded(c2)
