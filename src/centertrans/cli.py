@@ -140,6 +140,8 @@ def cmd_schubert(args):
 
 def cmd_depth(args):
     # bad input exits before the depth kernel is imported
+    if args.tsv_out and args.point is None and args.region is None:
+        raise DomainError("--tsv-out needs --point or --region")
     cloud = _load_cloud(args.input)
     if args.point is not None:
         if args.tsv_out and cloud.dim != 2:
@@ -212,7 +214,7 @@ def cmd_simplex(args):
 
     report = {"manifest": _manifest("simplex",
                                     inputs=[p for p in (args.input, args.vertices) if p])}
-    if args.vertices:
+    if args.vertices is not None:
         vertices = json_field(load_json(args.vertices), "vertices", args.vertices)
         tup = VertexTuple.of(float_rows(vertices, "vertices"))
         report["vertex_source"] = "file"
@@ -337,9 +339,10 @@ def build_parser():
 
     p = sub.add_parser("depth", help="point depth, depth of measure, regions")
     p.add_argument("--input", required=True)
-    p.add_argument("--point", help="comma-separated rational coordinates")
-    p.add_argument("--region", help="level tau as a rational")
-    p.add_argument("--tsv-out")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--point", help="comma-separated rational coordinates")
+    mode.add_argument("--region", help="level tau as a rational")
+    p.add_argument("--tsv-out", help="angle profile of --point or vertices of --region")
     p.add_argument("--output")
     p.set_defaults(func=cmd_depth)
 
@@ -349,8 +352,9 @@ def build_parser():
     p.set_defaults(func=cmd_center)
 
     p = sub.add_parser("simplex", help="canonical regular simplex pipeline")
-    p.add_argument("--input", help="cloud file (sector-barycenter surrogate)")
-    p.add_argument("--vertices", help="vertex tuple json file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="cloud file (sector-barycenter surrogate)")
+    source.add_argument("--vertices", help="vertex tuple json file")
     p.add_argument("--force", action="store_true",
                    help="build the surrogate even for sufficient depth")
     p.add_argument("--output")

@@ -81,8 +81,8 @@ class DepthRegion:
     """Convex superlevel set in the plane, in canonical vertex form.
 
     vertices may be any ordered convex loop (duplicate and collinear
-    vertices allowed); the constructor stores its canonical form, on
-    which locate, kind and to_dict rely.
+    vertices allowed); the constructor stores its canonical form, the
+    convex hull of the vertices, on which locate, kind and to_dict rely.
     """
 
     vertices: tuple

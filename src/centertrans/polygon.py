@@ -1,10 +1,11 @@
 """Exact convex polygon primitives over rational coordinates.
 
 Polygons are vertex tuples.  A clip yields an ordered convex loop, which
-may repeat a vertex or keep collinear ones; ``normalize`` turns such a
-loop into canonical form: [] empty, [p] a point, [p, q] a segment with
-p < q lexicographically, and for full rank a strictly convex
-counterclockwise loop starting at the lexicographically smallest vertex.
+may repeat a vertex or keep collinear ones; the canonical form is the
+convex hull of the vertices, which ``normalize`` computes: [] empty, [p]
+a point, [p, q] a segment with p < q lexicographically, and for full
+rank a strictly convex counterclockwise loop starting at the
+lexicographically smallest vertex.
 ``centroid`` accepts either form and gives the same exact point.
 Halfplanes are (vx, vy, c) meaning vx*x + vy*y <= c.  Everything here is
 exact; emptiness tests downstream rely on it.
@@ -37,41 +38,24 @@ def area2(vertices):
 
 
 def normalize(vertices):
-    """Canonical form of an ordered convex loop (duplicates/collinear ok)."""
-    pts = [tuple(p) for p in vertices]
-    # drop consecutive duplicates, including around the wrap
-    dedup = []
-    for p in pts:
-        if not dedup or p != dedup[-1]:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    if not dedup:
-        return ()
-    distinct = sorted(set(dedup))
-    if len(distinct) == 1:
-        return (distinct[0],)
-    if len(distinct) == 2 or all(
-        _cross(distinct[0], distinct[-1], p) == 0 for p in distinct
-    ):
-        # collinear: keep the lexicographic extremes (the endpoints)
-        return (distinct[0], distinct[-1])
-    if area2(dedup) < 0:
-        dedup.reverse()
-    # drop collinear intermediate vertices
-    out = []
-    n = len(dedup)
-    for i in range(n):
-        prev = dedup[(i - 1) % n]
-        cur = dedup[i]
-        nxt = dedup[(i + 1) % n]
-        if _cross(prev, cur, nxt) != 0:
-            out.append(cur)
-    if len(out) < 3:
-        distinct = sorted(set(dedup))
-        return (distinct[0], distinct[-1])
-    start = out.index(min(out))
-    return tuple(out[start:] + out[:start])
+    """Canonical form: the convex hull of the distinct vertices.
+
+    Andrew's monotone chain (Andrew 1979) sorts the points and builds the
+    lower and upper chains, popping every turn that is not a left turn.
+    """
+    pts = sorted(set(map(tuple, vertices)))
+    if len(pts) < 3:
+        return tuple(pts)
+
+    def chain(points):
+        out = []
+        for p in points:
+            while len(out) > 1 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return tuple(chain(pts) + chain(reversed(pts)))
 
 
 def clip(vertices, vx, vy, c):

@@ -94,11 +94,6 @@ class Cochain:
             "support": [list(a) for a in self.sorted_support()],
         }
 
-    @classmethod
-    def from_dict(cls, data):
-        ctx = GrassmannContext(int(data["n"]), int(data["codim"]))
-        return cls(ctx, [tuple(a) for a in data["support"]])
-
 
 def unit(context):
     return Cochain(context, [(0,) * context.n])
@@ -116,23 +111,13 @@ def special_class(context, i, variant=W):
 
     Index 0 gives the unit either way.  A "w" class whose displayed
     cocycle leaves the box (codim = 0, i >= 1) is the zero class; an
-    out-of-range index is a domain error.
+    out-of-range index is a domain error.  Each is the unit times w_i or
+    wbar_j by the Pieri rules.
     """
-    i = int(i)
     if variant == W:
-        if not 0 <= i <= context.n:
-            raise DomainError("w index %d outside [0, %d]" % (i, context.n))
-        if i == 0:
-            return unit(context)
-        if context.codim == 0:
-            return zero(context)
-        return Cochain(context, [(0,) * (context.n - i) + (1,) * i])
+        return pieri_dual(unit(context), i)
     if variant == WBAR:
-        if not 0 <= i <= context.codim:
-            raise DomainError("wbar index %d outside [0, %d]" % (i, context.codim))
-        if i == 0:
-            return unit(context)
-        return Cochain(context, [(0,) * (context.n - 1) + (i,)])
+        return pieri_special(unit(context), i)
     raise DomainError("unknown special class variant %r" % (variant,))
 
 

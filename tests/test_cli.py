@@ -311,6 +311,23 @@ def test_depth_measure_and_region(capsys, tmp_path):
     assert len(lines) == 4
 
 
+def test_depth_point_and_region_exclude_each_other(capsys, tmp_path):
+    tri = write_triangle(tmp_path / "tri.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["depth", "--input", tri, "--point", "1/3,1/3", "--region", "1/3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_depth_tsv_out_needs_a_mode(capsys, tmp_path):
+    tsv = tmp_path / "out.tsv"
+    # the option is checked before the cloud loads: a missing file is not reported
+    for cloud in (write_triangle(tmp_path / "tri.json"), str(tmp_path / "missing.json")):
+        error = _assert_bad_input(["depth", "--input", cloud, "--tsv-out", str(tsv)], capsys)
+        assert error == "error: --tsv-out needs --point or --region"
+    assert not tsv.exists()
+
+
 def test_center_fixture(capsys, tmp_path):
     cloud = write_triangle(tmp_path / "tri.json")
     code, out, _ = run_cli(["center", "--input", cloud], capsys)
@@ -358,6 +375,20 @@ def test_simplex_sufficient_cloud_names_force_flag(capsys, tmp_path):
     assert "--force" in error
     code, out, _ = run_cli(["simplex", "--input", str(path), "--force"], capsys)
     assert code == 2 and out == ""  # one atom spans no sector: still no tuple
+
+
+def test_simplex_takes_exactly_one_source(capsys, tmp_path):
+    vfile = tmp_path / "verts.json"
+    vfile.write_text(json.dumps({"vertices": [[1, 0], [0, 1], [-1, -1]]}))
+    both = ["--input", write_triangle(tmp_path / "tri.json"), "--vertices", str(vfile)]
+    for sources, message in (([], "one of the arguments"), (both, "not allowed with argument")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simplex"] + sources)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+    # an empty path is a source too, and names no file
+    _assert_bad_input(["simplex", "--vertices", ""], capsys)
 
 
 def test_simplex_surrogate_from_cloud(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Property tests for Tukey depth: witness attainment in the plane, in 3-D
 and in 4-D, invariance under exact rigid motions, and nesting of depth
-regions."""
+regions; and for the canonical form of a region, the convex hull."""
 
 from fractions import Fraction
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from centertrans.cloud import WeightedPointCloud, apply_affine
 from centertrans.depth import depth_of_measure, depth_region, halfspace_mass, tukey_depth
+from centertrans.polygon import locate_point, normalize
 from reference_depth import depth_3d_by_pairs
 
 F = Fraction
@@ -112,3 +113,55 @@ def test_depth_regions_nest(cloud, data):
     for region in (outer, inner):
         for v in region.vertices:
             assert tukey_depth(cloud, v).value >= region.tau
+
+
+def _turn(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_corners(points):
+    """The corners of the hull, counterclockwise from the lexicographic
+    minimum, by gift wrapping: each next corner is the farthest point with
+    no point to the right of the edge that reaches it."""
+    pts = sorted(set(points))
+    if all(_turn(pts[0], pts[-1], p) == 0 for p in pts):  # a point or a segment
+        return pts[:1] + pts[1:][-1:]
+    loop = [pts[0]]
+    while True:
+        p = loop[-1]
+        q = max((c for c in pts if c != p and all(_turn(p, c, r) >= 0 for r in pts)),
+                key=lambda c: abs(c[0] - p[0]) + abs(c[1] - p[1]))
+        if q == loop[0]:
+            return loop
+        loop.append(q)
+
+
+@st.composite
+def _presentations(draw, corners):
+    """corners as an ordered convex loop: each corner repeated, points
+    inserted along each edge, any rotation and either orientation."""
+    loop = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        loop += [a] * draw(st.integers(1, 3))
+        for k in sorted(draw(st.lists(st.integers(1, 5), max_size=3))):
+            loop.append((a[0] + F(k, 6) * (b[0] - a[0]), a[1] + F(k, 6) * (b[1] - a[1])))
+    turn = draw(st.integers(0, len(loop) - 1))
+    loop = loop[turn:] + loop[:turn]
+    return loop[::-1] if draw(st.booleans()) else loop
+
+
+grid_points = st.lists(st.tuples(*[st.builds(F, st.integers(-4, 4))] * 2), min_size=1, max_size=8)
+
+
+@PROPERTY
+@given(points=grid_points, data=st.data())
+def test_normalize_is_the_hull_of_every_presentation(points, data):
+    corners = _hull_corners(points)
+    canonical = normalize(data.draw(_presentations(corners)))
+    assert canonical == normalize(data.draw(_presentations(corners))) == tuple(corners)
+    assert canonical[0] == min(points)
+    n = len(canonical)
+    if n > 2:
+        assert all(_turn(canonical[i - 1], canonical[i], canonical[(i + 1) % n]) > 0
+                   for i in range(n))
+    assert all(locate_point(canonical, p) != "outside" for p in points)
