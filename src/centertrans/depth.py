@@ -33,7 +33,10 @@ guarantees.  A caller that only asks whether the regions meet above a
 level passes it as a floor, the third bound: the search probes nothing
 at or below it, and one empty region just above it ends the search.
 Each query builds the tables it reads and drops them: none is kept on a
-cloud.
+cloud.  A table reads only the integer forms of its cloud, so the
+transversal search builds its tables straight from a frame's integer
+images of the atoms (_images), with no marginal cloud, and ``marginal``
+builds its cloud from the same images.
 
 The clip runs in homogeneous integer coordinates: every halfplane is
 rescaled to the common coordinate scale of the clouds, each vertex is
@@ -51,6 +54,7 @@ every reported region passes through, puts it in canonical form.
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -607,10 +611,10 @@ def _deepest_common_region(tables, floor=None):
     """(largest level whose regions all meet, their intersection there).
 
     The regions are those of the clouds whose direction tables these
-    are.  Binary search over the union of the tables' levels; nonemptiness
-    is monotone in the level, so the probe order does not change the
-    answer.  Three bounds keep it off levels whose answer is known or not
-    wanted:
+    are.  Binary search over the union of the tables' levels, as integers
+    over the lcm of their weight denominators; nonemptiness is monotone in
+    the level, so the probe order does not change the answer.  Three
+    bounds keep it off levels whose answer is known or not wanted:
 
     - Cap.  No point is deeper than (1 + m) / 2 in a cloud whose heaviest
       atom has mass m: a line through the point that meets no other atom
@@ -636,12 +640,17 @@ def _deepest_common_region(tables, floor=None):
     the floor, if one is given); for one table, a failing Rado level
     raises InternalConsistencyError.
     """
-    levels = sorted({Fraction(lv, t.weight_den) for t in tables for lv in t.levels})
-    cap = min(Fraction(t.weight_den + t.heaviest, 2 * t.weight_den) for t in tables)
+    # every level is an integer lv over den, so the bounds are too: lv / den
+    # is at least 1/3 when lv >= ceil(den / 3), at most the cap when
+    # lv <= floor(cap * den), and above the floor when lv > floor(floor * den)
+    den = math.lcm(*(t.weight_den for t in tables))
+    levels = sorted({lv * (den // t.weight_den) for t in tables for lv in t.levels})
+    cap = min((t.weight_den + t.heaviest) * (den // t.weight_den) // 2 for t in tables)
     # levels[lo] meets or is not probed (lo == start); levels[hi] fails or
     # lies above the cap.  No level at or below levels[start] is probed
-    rado = bisect_left(levels, Fraction(1, 3)) - 1 if len(tables) == 1 else -1
-    lo = start = rado if floor is None else max(rado, bisect_right(levels, floor) - 1)
+    rado = bisect_left(levels, -(-den // 3)) - 1 if len(tables) == 1 else -1
+    floored = -1 if floor is None else bisect_right(levels, math.floor(floor * den)) - 1
+    lo = start = max(rado, floored)
     hi = bisect_right(levels, cap)
     best = ()
     # the floor's probe, then the cap's; then mid rounds up, so it probes
@@ -649,13 +658,13 @@ def _deepest_common_region(tables, floor=None):
     firsts = iter(([lo + 1] if floor is not None else []) + [hi - 1])
     while hi - lo > 1:
         mid = next(firsts, (lo + hi + 1) // 2)
-        loop = _region_vertices(tables, levels[mid])
+        loop = _region_vertices(tables, Fraction(levels[mid], den))
         if loop:
             lo, best = mid, loop
         else:
             hi = mid
     if lo > start:
-        return levels[lo], best
+        return Fraction(levels[lo], den), best
     if len(tables) > 1 or start > rado:
         return Fraction(0), ()
     raise InternalConsistencyError("no level at or above 1/3 meets, against Rado's theorem")
@@ -705,15 +714,20 @@ def _ascent(clouds, start):
     return tuple(x), cur
 
 
-def marginal(cloud, frame):
-    """Pushforward of the cloud onto the frame's coordinate system.
+_Images = namedtuple("_Images", "dim int_points int_weights")
+
+
+def _images(cloud, frame):
+    """The cloud's atoms pushed onto the frame's coordinates, in integers.
 
     Each image is the tuple of integer dot products of the frame's
     ``int_rows`` (its rows quantized at 12 decimal digits when the frame
     was built, over ``row_scale``) with the cloud's ``int_points``, so
     every coordinate is that integer over ``row_scale * coord_scale``.
-    Coincident images merge with summed weights, and the atoms come out
-    sorted by coordinates.
+    Coincident images merge with summed integer weights, over the cloud's
+    ``int_weights`` denominator, and come out sorted.  The result carries
+    the ``dim``, ``int_points`` and ``int_weights`` that _DirectionTable
+    reads, so a search move builds its tables with no cloud.
     """
     if frame.ambient != cloud.dim:
         raise DomainError(
@@ -721,11 +735,21 @@ def marginal(cloud, frame):
         )
     row_scale, irows = frame.int_rows
     coord_scale, ipts = cloud.int_points
+    weight_den, ws = cloud.int_weights
     merged = {}
-    for p, (_, w) in zip(ipts, cloud.atoms):
+    for p, w in zip(ipts, ws):
         y = tuple(sum(map(operator.mul, row, p)) for row in irows)
         merged[y] = merged[y] + w if y in merged else w
     # one positive denominator, so the integer order is the rational order
-    den = row_scale * coord_scale
-    atoms = [(tuple(Fraction(v, den) for v in y), merged[y]) for y in sorted(merged)]
-    return WeightedPointCloud(frame.n, atoms)
+    ys = sorted(merged)
+    return _Images(frame.n, (row_scale * coord_scale, ys), (weight_den, [merged[y] for y in ys]))
+
+
+def marginal(cloud, frame):
+    """Pushforward of the cloud onto the frame's coordinate system: the
+    integer images of _images over their denominators, as a cloud."""
+    images = _images(cloud, frame)
+    (den, ys), (weight_den, ws) = images.int_points, images.int_weights
+    return WeightedPointCloud(images.dim, [
+        (tuple(Fraction(v, den) for v in y), Fraction(w, weight_den)) for y, w in zip(ys, ws)
+    ])

@@ -17,12 +17,15 @@ higher level.  So the restarts compare levels alone, and only
 level.  Regions nest as the level rises, so a move beats the best level
 exactly when its regions meet at the next level above it: each move's
 level search takes the best level as its floor and probes that level
-first, which settles most rejected moves with one region.
+first, which settles most rejected moves with one region.  A move's
+direction tables read the integer images of the atoms under the frame
+(``depth._images``), so a move builds no marginal cloud.
 
 Restarts run one after another.  Each draws its randomness from its own
-child of the master seed, the search stops at the first restart that
-reaches the target, and otherwise reports the best objective with the
-lowest index, so identical seeds and inputs give identical reports.
+child of the master seed, made when the restart starts; the search stops
+at the first restart that reaches the target, and otherwise reports the
+best objective with the lowest index, so identical seeds and inputs give
+identical reports.
 Frames are built and moved in plain Python, each sum rounded once by
 ``cloud.dot``, so the reports do not depend on the BLAS kernel either:
 numpy only draws the seeded normals.  For n >= 3 only, the witness
@@ -41,7 +44,9 @@ from . import polygon
 from .bounds import min_dimension, thresholds
 from .centers import _table_center
 from .cloud import OrthoFrame, _as_fraction, dot
-from .depth import _ascent, _deepest_common_region, _DirectionTable, _mean, marginal, tukey_depth
+from .depth import (
+    _ascent, _deepest_common_region, _DirectionTable, _images, _mean, marginal, tukey_depth,
+)
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
 
@@ -242,12 +247,13 @@ def _run_restart(index, seed, clouds, n, target, config):
     import numpy as np
 
     def value(frame, floor=None):
-        # for n <= 2 the objective is the common level: no witness needed.
+        # for n <= 2 the objective is the common level: no witness needed,
+        # and the tables read the marginals' integer images, with no cloud.
         # A move must beat the best level, so its level search takes that as
         # its floor: one probe just above it rejects most moves, a move that
         # passes gets its exact level, and a rejected one reads 0
         if n <= 2:
-            tables = [_DirectionTable(marginal(c, frame)) for c in clouds]
+            tables = [_DirectionTable(_images(c, frame)) for c in clouds]
             return _deepest_common_region(tables, floor)[0]
         return _objective_parts(frame, clouds, n)[0]
 
@@ -281,9 +287,10 @@ def search(clouds, n, config=None):
     """Random-restart hill climbing over frames; exact acceptance tests.
 
     Restarts run in index order until one reaches the target; that one is
-    reported, or else the best objective with the lowest index.  The
-    report is verify's for that restart's frame, with the restart index,
-    the config and the trajectory of every restart run added.
+    reported, or else the best objective with the lowest index.  Restart i
+    draws from the i-th child of the master seed, made when it starts.
+    The report is verify's for that restart's frame, with the restart
+    index, the config and the trajectory of every restart run added.
     """
     _check_clouds(None, clouds)
     if config is None:
@@ -302,10 +309,11 @@ def search(clouds, n, config=None):
         )
     import numpy as np
 
-    seeds = np.random.SeedSequence(config.master_seed).spawn(config.restarts)
     best = None
     trajectory = []
-    for index, seed in enumerate(seeds):
+    for index in range(config.restarts):
+        # the same draws as SeedSequence(master_seed).spawn(restarts)[index]
+        seed = np.random.SeedSequence(config.master_seed, spawn_key=(index,))
         res = _run_restart(index, seed, clouds, n, target, config)
         trajectory.append((index, float(res.objective), res.success))
         # a restart that reaches the target beats every earlier one

@@ -546,6 +546,20 @@ def test_transversal_cli_failed_target_exit_1(capsys, tmp_path):
     assert json.loads(out)["success"] is False
 
 
+def test_transversal_takes_a_huge_restart_budget(capsys, tmp_path, recwarn):
+    # restart 0 reaches the triangle's depth 1/3, and the restarts after it
+    # get no seed (spawning them all up front overflowed)
+    tri = write_triangle(tmp_path / "tri.json")
+    code, out, _ = run_cli(
+        ["transversal", "--input", tri, "--restarts", "99999999999999999999999",
+         "--local-steps", "0", "--target", "1/3"],
+        capsys,
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["success"] and report["restart_index"] == 0
+
+
 def test_transversal_below_the_bound_warns_in_one_line(capsys, tmp_path, recwarn):
     tri = write_triangle(tmp_path / "tri.json")
     code, out, err = run_cli(

@@ -20,7 +20,7 @@ from centertrans.depth import _deepest_common_region, _DirectionTable, marginal
 from centertrans.errors import InternalConsistencyError
 from centertrans.generators import generate_cloud, maintheorem_suite
 from centertrans.transversal import (
-    SearchConfig, _objective_parts, _orthonormalize, _run_restart, random_frame, verify,
+    SearchConfig, _objective_parts, _orthonormalize, _run_restart, random_frame, search, verify,
 )
 
 F = Fraction
@@ -180,3 +180,40 @@ def test_verify_raises_when_least_depth_is_not_the_level(monkeypatch):
     monkeypatch.setattr(transversal, "_common_level", off_by_one_step)
     with pytest.raises(InternalConsistencyError):
         verify(frame, clouds, 2)
+
+
+def _report_cases():
+    """(clouds, n, config, restart index of the report) per case."""
+    suite = maintheorem_suite(count=6)
+    cases = {
+        "criterion-9 pair %d" % i: (suite[i], 2, SearchConfig(
+            restarts=120, local_steps=25, master_seed=2000 + i), index)
+        for i, index in ((1, 0), (2, 0), (5, 1))
+    }
+    cases["n = 1"] = (_unequal_pair(), 1, SearchConfig(restarts=3, local_steps=10, master_seed=5),
+                      None)
+    cases["zero level"] = (_pairs()["far apart"], 2, SearchConfig(restarts=2, local_steps=3),
+                           None)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_report_cases()))
+def test_search_report_is_verify_of_its_frame(name):
+    """The report of a search is verify's of its frame, whose level search
+    reads tables built from marginal clouds where the restart read tables
+    built from integer images; only the search record differs."""
+    clouds, n, config, index = _report_cases()[name]
+    report = search(list(clouds), n, config)
+    if index is not None:
+        assert report.success and report.restart_index == index
+    if name == "zero level":
+        assert report.objective == 0
+    else:
+        assert report.objective > 0
+    # the restart's level, from image tables, is the report's objective
+    assert report.trajectory[report.restart_index][1] == float(report.objective)
+    got = report.to_dict()
+    want = verify(report.frame, list(clouds), n).to_dict()
+    for key in ("restart_index", "config", "trajectory"):
+        del got[key], want[key]
+    assert got == want

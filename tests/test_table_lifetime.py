@@ -88,3 +88,14 @@ def test_center_point_builds_one_table_for_both_queries(built):
     assert report.classification == SUFFICIENT
     assert report.region.tau == report.threshold
     assert len(built) == 1
+
+
+def test_no_table_outlives_search(built):
+    # the restart's first frame builds one table per marginal from the
+    # integer images, and the report's verify builds one per marginal again
+    pair = maintheorem_suite(count=2)[1]
+    report = search(list(pair), 2, SearchConfig(restarts=1, local_steps=0))
+    assert report.objective > 0
+    assert len(built) == 4
+    gc.collect()
+    assert all(ref() is None for ref in built)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from centertrans import transversal
 from centertrans.centers import center_point
 from centertrans.cloud import OrthoFrame, WeightedPointCloud, quantize_entry
 from centertrans.depth import depth_of_measure, marginal, tukey_depth
@@ -279,3 +280,34 @@ def test_transversal_n1_is_exact():
     assert rep.exact and rep.success
     assert rep.objective == F(2, 3)
     assert rep.witness_point == (F(0),) and rep.c_points == ((F(0),),)
+
+
+@pytest.mark.parametrize("master", [0, 7, 2005])
+def test_restart_seeds_are_the_spawned_children(monkeypatch, master):
+    """Restart i's seed, made when it starts, draws as the i-th child that
+    SeedSequence(master).spawn(restarts) would give."""
+    seeds = []
+    run_restart = transversal._run_restart
+
+    def recording(index, seed, *args):
+        seeds.append(seed)
+        return run_restart(index, seed, *args)
+
+    monkeypatch.setattr(transversal, "_run_restart", recording)
+    c = embedded(planar_cloud(seed=11))
+    search([c], 2, SearchConfig(restarts=6, local_steps=1, master_seed=master, target=F(1)))
+    children = np.random.SeedSequence(master).spawn(6)
+    assert len(seeds) == 6
+    for seed, child in zip(seeds, children):
+        assert seed.generate_state(8).tolist() == child.generate_state(8).tolist()
+        assert (np.random.default_rng(seed).standard_normal(5).tolist()
+                == np.random.default_rng(child).standard_normal(5).tolist())
+
+
+def test_search_with_a_huge_restart_budget_stops_at_restart_0():
+    # every 2-D marginal of a planar cloud reaches 1/3 (Rado), so restart 0
+    # succeeds; no seed is made for the restarts that do not run
+    c = embedded(planar_cloud(seed=11))
+    rep = search([c], 2, SearchConfig(restarts=10 ** 23, local_steps=0, target=F(1, 3)))
+    assert rep.success and rep.restart_index == 0
+    assert rep.trajectory == ((0, float(rep.objective), True),)
