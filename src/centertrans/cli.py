@@ -7,8 +7,9 @@ seeds and inputs rerun to byte-identical report files.  Exit codes:
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads (and, without cached bytecode, compiles) only those: ``bounds``
-needs no kernel at all, and only ``gen``, ``simplex`` and the
-``transversal`` search load numpy (``--frame`` verifies without it).
+needs no kernel at all, and only ``gen``, ``simplex``, the
+``transversal`` search and its n >= 3 ascent load numpy (``--frame``
+with n <= 2 verifies without it).
 """
 
 import argparse
@@ -41,7 +42,8 @@ def _manifest(subcommand, inputs=(), seed=None, config=None):
 
 
 def _emit(report, path):
-    text = dump_json(report)
+    """Write a report to path, or to stdout: JSON, or a text table as it is."""
+    text = report if isinstance(report, str) else dump_json(report)
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -87,12 +89,9 @@ def cmd_bounds(args):
         "improved_threshold": frac_str(improved),
     }
     if args.format == "tsv":
-        sys.stdout.write("m\tn\tN_min\trado\timproved\n")
-        sys.stdout.write(
-            "%d\t%d\t%d\t%s\t%s\n" % (args.m, args.n, n_min, frac_str(rado), frac_str(improved))
-        )
-    else:
-        _emit(report, args.output)
+        report = "m\tn\tN_min\trado\timproved\n%d\t%d\t%d\t%s\t%s\n" % (
+            args.m, args.n, n_min, frac_str(rado), frac_str(improved))
+    _emit(report, args.output)
     return 0
 
 
@@ -130,11 +129,8 @@ def cmd_schubert(args):
         "degree": cls.degree(),
     }
     if args.format == "tsv":
-        sys.stdout.write("cocycle\n")
-        for a in cls.sorted_support():
-            sys.stdout.write(",".join(str(x) for x in a) + "\n")
-    else:
-        _emit(report, args.output)
+        report = "cocycle\n" + "".join(",".join(map(str, a)) + "\n" for a in cls.sorted_support())
+    _emit(report, args.output)
     return 0
 
 

@@ -33,10 +33,10 @@ guarantees.  A caller that only asks whether the regions meet above a
 level passes it as a floor, the third bound: the search probes nothing
 at or below it, and one empty region just above it ends the search.
 Each query builds the tables it reads and drops them: none is kept on a
-cloud.  A table reads only the integer forms of its cloud, so the
-transversal search builds its tables straight from a frame's integer
-images of the atoms (_images), with no marginal cloud, and ``marginal``
-builds its cloud from the same images.
+cloud.  A table, point depth and the mean read only the integer forms of
+a cloud, so ``transversal`` reads every marginal as a frame's integer
+images of the atoms (_images), with no cloud; ``marginal``, the public
+pushforward, builds its cloud from the same images.
 
 The clip runs in homogeneous integer coordinates: every halfplane is
 rescaled to the common coordinate scale of the clouds, each vertex is
@@ -679,7 +679,9 @@ def depth_of_measure(cloud):
 
 
 def _mean(cloud):
-    return tuple(sum(p[i] * w for p, w in cloud.atoms) for i in range(cloud.dim))
+    """Exact mean of a cloud or of its integer images, from the integer forms."""
+    (scale, pts), (den, ws) = cloud.int_points, cloud.int_weights
+    return tuple(Fraction(sum(map(operator.mul, c, ws)), scale * den) for c in zip(*pts))
 
 
 def _ascent(clouds, start):
@@ -726,8 +728,8 @@ def _images(cloud, frame):
     every coordinate is that integer over ``row_scale * coord_scale``.
     Coincident images merge with summed integer weights, over the cloud's
     ``int_weights`` denominator, and come out sorted.  The result carries
-    the ``dim``, ``int_points`` and ``int_weights`` that _DirectionTable
-    reads, so a search move builds its tables with no cloud.
+    the ``dim``, ``int_points`` and ``int_weights`` that _DirectionTable,
+    tukey_depth and _mean read, so ``transversal`` builds no cloud.
     """
     if frame.ambient != cloud.dim:
         raise DomainError(

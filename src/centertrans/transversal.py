@@ -3,23 +3,24 @@
 For n <= 2 the inner problem (best common depth level of several
 marginals in the plane, or on the line, read as its x axis) is solved
 exactly by the level search of ``depth``: depth levels form a finite
-set of rationals, and the largest level at which one clip against every
-marginal's halfplanes stays nonempty is found by binary search with
-exact emptiness certificates.  The outer problem (which subspace) is
+set of rationals, and the largest level at which one clip against the
+halfplanes of all the marginals stays nonempty is found by binary search
+with exact emptiness certificates.  The outer problem (which subspace) is
 random-restart hill climbing with plane-rotation moves; a move is
 accepted only when the exact objective strictly increases.
 
 For n <= 2 the objective equals the common level L: the witness, the
-centroid of the convex common region at L, has depth at least L in every
-marginal, and a least depth above L would put it in every region at a
-higher level.  So the restarts compare levels alone, and only
+centroid of the convex common region at L, has depth at least L in all
+the marginals, and a least depth above L would put it in every region at
+a higher level.  So the restarts compare levels alone, and only
 ``verify`` builds the witness, checking that its least depth is the
 level.  Regions nest as the level rises, so a move beats the best level
 exactly when its regions meet at the next level above it: each move's
 level search takes the best level as its floor and probes that level
-first, which settles most rejected moves with one region.  A move's
-direction tables read the integer images of the atoms under the frame
-(``depth._images``), so a move builds no marginal cloud.
+first, which settles most rejected moves with one region.  The
+marginals are read as the integer images of the atoms under the frame
+(``depth._images``): the moves' tables, and ``verify``'s tables, depths
+and n >= 3 ascent, so neither builds a cloud.
 
 Restarts run one after another.  Each draws its randomness from its own
 child of the master seed, made when the restart starts; the search stops
@@ -45,7 +46,7 @@ from .bounds import min_dimension, thresholds
 from .centers import _table_center
 from .cloud import OrthoFrame, _as_fraction, dot
 from .depth import (
-    _ascent, _deepest_common_region, _DirectionTable, _images, _mean, marginal, tukey_depth,
+    _ascent, _deepest_common_region, _DirectionTable, _images, _mean, tukey_depth,
 )
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
@@ -148,31 +149,32 @@ def _without(v, rows):
     return [x - dot(coeffs, [r[k] for r in rows]) for k, x in enumerate(v)]
 
 
-def _common_level(tables, marginals):
+def _common_level(tables, images):
     """Largest exact level whose superlevel regions, read off the marginals'
     direction tables, all intersect.
 
-    Returns (level, witness) where the witness is the centroid of the
-    intersection, cut to the marginals' dimension; (0, mean of the first
-    marginal) when even the lowest level fails, as it does for marginals
-    with disjoint hulls.
+    images are the marginals' integer images.  Returns (level, witness)
+    where the witness is the centroid of the intersection, cut to the
+    marginals' dimension; (0, mean of the first images) when even the
+    lowest level fails, as it does for marginals with disjoint hulls.
     """
     level, loop = _deepest_common_region(tables)
     if not loop:
-        return Fraction(0), _mean(marginals[0])
-    return level, polygon.centroid(loop)[:marginals[0].dim]
+        return Fraction(0), _mean(images[0])
+    return level, polygon.centroid(loop)[:images[0].dim]
 
 
 def _objective_parts(frame, clouds, n):
-    """(objective, witness, depths, the marginals' direction tables if n <= 2)."""
-    marginals = [marginal(c, frame) for c in clouds]
-    tables = [_DirectionTable(m) for m in marginals] if n <= 2 else None
+    """(objective, witness, depths, the marginals' direction tables if n <= 2),
+    all read off one projection of each cloud to its integer images."""
+    images = [_images(c, frame) for c in clouds]
+    tables = [_DirectionTable(m) for m in images] if n <= 2 else None
     if n <= 2:
-        level, witness = _common_level(tables, marginals)
+        level, witness = _common_level(tables, images)
     else:
-        start = [sum(c) / len(marginals) for c in zip(*map(_mean, marginals))]
-        witness, _ = _ascent(marginals, start)
-    per = tuple(tukey_depth(m, witness).value for m in marginals)
+        start = [sum(c) / len(images) for c in zip(*map(_mean, images))]
+        witness, _ = _ascent(images, start)
+    per = tuple(tukey_depth(m, witness).value for m in images)
     if n <= 2 and min(per) != level:
         raise InternalConsistencyError(
             "least depth %s at the witness is not the common level %s" % (min(per), level)
@@ -213,8 +215,9 @@ def verify(frame, clouds, n, target=None):
 
     The report carries no search record: restart_index and config are
     None and the trajectory is empty.  The target defaults to the
-    improved bound.  For n <= 2 the c-points reuse the direction tables of
-    the level search; building them again would add about 13%.
+    improved bound.  The marginals are read as integer images, with no
+    cloud.  For n <= 2 the c-points reuse the direction tables of the
+    level search; building them again would add about 13%.
     """
     _check_clouds(frame, clouds)
     if frame.n != n:
@@ -247,8 +250,7 @@ def _run_restart(index, seed, clouds, n, target, config):
     import numpy as np
 
     def value(frame, floor=None):
-        # for n <= 2 the objective is the common level: no witness needed,
-        # and the tables read the marginals' integer images, with no cloud.
+        # for n <= 2 the objective is the common level: no witness needed.
         # A move must beat the best level, so its level search takes that as
         # its floor: one probe just above it rejects most moves, a move that
         # passes gets its exact level, and a rejected one reads 0

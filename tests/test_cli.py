@@ -54,6 +54,20 @@ def test_bounds_examples(capsys):
     assert "5\t1/3\t28/81" in out
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["bounds", "--m", "2", "--n", "2"], "m\tn\tN_min\trado\timproved\n2\t2\t5\t1/3\t28/81\n"),
+    (["schubert", "--n", "2", "--codim", "5", "--exponents", "2,3"], "cocycle\n3,5\n4,4\n"),
+], ids=["bounds", "schubert"])
+def test_tsv_format_goes_to_output(capsys, tmp_path, argv, want):
+    # the table is what --format tsv prints, written to --output alone
+    code, out, _ = run_cli(argv + ["--format", "tsv"], capsys)
+    assert (code, out) == (0, want)
+    path = tmp_path / "out.tsv"
+    code, out, _ = run_cli(argv + ["--format", "tsv", "--output", str(path)], capsys)
+    assert (code, out) == (0, "")
+    assert path.read_text() == want
+
+
 def test_schubert_monomial(capsys):
     code, out, _ = run_cli(
         ["schubert", "--n", "2", "--codim", "5", "--exponents", "2,3"], capsys

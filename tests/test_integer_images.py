@@ -1,13 +1,15 @@
-"""Direction tables read straight from a frame's integer images of a cloud.
+"""Search and verification read a frame's marginals as integer images.
 
-A search move builds its tables from ``depth._images``, with no cloud;
-``marginal`` builds its cloud from the same images.  A table built from
-the images keeps their unreduced integers (coordinates over
-row_scale * coord_scale, weights over the cloud's weight denominator), so
-it must read exactly like one built from the marginal cloud: the same
-levels and cap as Fractions, the same directions and the same region
-loop at every level.  The level search over image tables, which bisects
-integer levels over the lcm of the weight denominators, must match the
+``depth._images`` is the one projection of ``transversal``: the search
+moves, ``verify`` and the n >= 3 ascent read it, and no marginal cloud
+is built; ``marginal`` builds its cloud from the same images.  The
+images keep their unreduced integers (coordinates over
+row_scale * coord_scale, weights over the cloud's weight denominator),
+so they must read exactly like the marginal cloud: the same mean and
+depths, and for n <= 2 a direction table with the same levels and cap
+as Fractions, the same directions and the same region loop at every
+level.  The level search over image tables, which bisects integer
+levels over the lcm of the weight denominators, must match the
 reference search over every level, with and without a floor.
 """
 
@@ -17,12 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from centertrans.cloud import OrthoFrame
+from centertrans import polygon
+from centertrans.cloud import OrthoFrame, WeightedPointCloud
 from centertrans.depth import (
-    _deepest_common_region, _DirectionTable, _images, _region_vertices, marginal,
+    _deepest_common_region, _DirectionTable, _images, _mean, _region_vertices, marginal,
+    tukey_depth,
 )
 from centertrans.generators import generate_cloud, maintheorem_suite
-from centertrans.transversal import random_frame
+from centertrans.transversal import SearchConfig, random_frame, search, verify
 from reference_table import reference_deepest_common_region
 from test_level_search import floors
 from test_marginal import _build, clouds_and_frames, seeded_cloud, signed_axis_frame
@@ -31,6 +35,9 @@ F = Fraction
 
 
 def assert_tables_agree(cloud, frame):
+    """The images read like the marginal cloud: the same atoms, mean and
+    depths, and for n <= 2 the same direction table, returned with the
+    marginal's (None for n = 3)."""
     images = _images(cloud, frame)
     got_cloud = marginal(cloud, frame)
     (den, ys), (weight_den, ws) = images.int_points, images.int_weights
@@ -38,18 +45,27 @@ def assert_tables_agree(cloud, frame):
     assert got_cloud.atoms == tuple(
         (tuple(F(v, den) for v in y), F(w, weight_den)) for y, w in zip(ys, ws)
     )
-    got, want = _DirectionTable(images), _DirectionTable(got_cloud)
-    levels = [F(v, got.weight_den) for v in got.levels]
-    assert levels == [F(v, want.weight_den) for v in want.levels]
-    assert got.directions == want.directions
-    assert F(got.heaviest, got.weight_den) == F(want.heaviest, want.weight_den)
-    for tau in levels:
-        assert _region_vertices([got], tau) == _region_vertices([want], tau)
+    mean = tuple(sum(p[i] * w for p, w in got_cloud.atoms) for i in range(frame.n))
+    assert _mean(images) == _mean(got_cloud) == mean
+    probes = [p for p, _ in got_cloud.atoms] + [mean]
+    got = want = None
+    if frame.n <= 2:
+        got, want = _DirectionTable(images), _DirectionTable(got_cloud)
+        levels = [F(v, got.weight_den) for v in got.levels]
+        assert levels == [F(v, want.weight_den) for v in want.levels]
+        assert got.directions == want.directions
+        assert F(got.heaviest, got.weight_den) == F(want.heaviest, want.weight_den)
+        for tau in levels:
+            assert _region_vertices([got], tau) == _region_vertices([want], tau)
+        # the witness verify takes: the centroid of the deepest region
+        probes.append(polygon.centroid(_deepest_common_region([got])[1])[:frame.n])
+    for x in probes:
+        assert tukey_depth(images, x).value == tukey_depth(got_cloud, x).value
     return got, want
 
 
 @pytest.mark.parametrize("dim", range(3, 8))
-@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize("n", (1, 2, 3))
 def test_seeded_frames(dim, n):
     rng = np.random.default_rng(500 * dim + n)
     for _ in range(6):
@@ -80,7 +96,7 @@ def test_line_images():
 
 
 @settings(max_examples=60, derandomize=True)
-@given(case=clouds_and_frames().filter(lambda case: case[1].n <= 2))
+@given(case=clouds_and_frames())
 def test_tables_agree_property(case):
     assert_tables_agree(*case)
 
@@ -121,3 +137,20 @@ def test_level_search_on_unequal_weights():
     for n in (1, 2):
         for seed in range(3):
             assert_level_searches_agree(pair, random_frame(7, n, seed))
+
+
+def test_search_and_verify_build_no_cloud(monkeypatch):
+    # the clouds are built first; a search and its final verify, and an
+    # n = 3 verify with its ascent, read only integer images
+    pair = list(maintheorem_suite(count=2)[1])
+    built = []
+    init = WeightedPointCloud.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(WeightedPointCloud, "__init__", counting_init)
+    assert search(pair, 2, SearchConfig(restarts=3, local_steps=5, master_seed=3)).objective > 0
+    assert verify(random_frame(7, 3, 0), pair, 3).objective > 0
+    assert built == []

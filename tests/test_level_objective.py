@@ -199,9 +199,9 @@ def _report_cases():
 
 @pytest.mark.parametrize("name", sorted(_report_cases()))
 def test_search_report_is_verify_of_its_frame(name):
-    """The report of a search is verify's of its frame, whose level search
-    reads tables built from marginal clouds where the restart read tables
-    built from integer images; only the search record differs."""
+    """The report of a search is verify's of its frame: both read the same
+    integer images, the restart through its floored level search and
+    verify through the full one, and only the search record differs."""
     clouds, n, config, index = _report_cases()[name]
     report = search(list(clouds), n, config)
     if index is not None:
