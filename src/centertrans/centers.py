@@ -16,11 +16,18 @@ of the plane; only the sufficient case builds a second region, at the
 bound, from the same direction table.  Both come back as raw clip
 loops, and the report's DepthRegion puts the one it keeps in canonical
 form.  On the line c is its first coordinate and no region is reported.
+
+``transversal.verify`` needs only c of each marginal, whose depth is at
+least the marginals' common level: once that level reaches the bound, c
+is the centroid of one region probe at the bound, with no level search.
+polygon.centroid gives the same exact point for a raw clip loop as for
+its canonical form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import polygon
 from .bounds import thresholds
 from .depth import (
     DepthRegion,
@@ -75,12 +82,8 @@ def classify(cloud, n):
 def center_point(cloud, n):
     """Associated point c of the measure, with its region and classification."""
     _check_exact_dim(cloud, n)
-    return _table_center(_DirectionTable(cloud), cloud.dim)
-
-
-def _table_center(table, n):
-    """center_point of the n-dimensional cloud whose direction table this
-    is; ``transversal.verify`` passes the tables of its own level search."""
+    n = cloud.dim
+    table = _DirectionTable(cloud)
     improved = thresholds(n)[1]
     dm, verts = _deepest_common_region([table])
     if dm >= improved:
@@ -96,3 +99,17 @@ def _table_center(table, n):
         c=region.centroid()[:n],
         region=region if n == 2 else None,
     )
+
+
+def _c_point(table, n, level):
+    """center_point's c for the n-dimensional cloud whose direction table
+    this is, given a level its depth reaches; the level search runs only
+    when that level is below the improved bound."""
+    improved = thresholds(n)[1]
+    if level < improved:
+        level, verts = _deepest_common_region([table])
+    if level >= improved:
+        level, verts = improved, _region_vertices([table], improved)
+    if not verts:
+        raise InternalConsistencyError("superlevel region empty at an achieved level %s" % level)
+    return polygon.centroid(verts)[:n]

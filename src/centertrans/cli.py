@@ -96,6 +96,10 @@ def cmd_bounds(args):
 
 
 def cmd_schubert(args):
+    # a named check writes its JSON report and reads no monomial
+    if args.check and (args.exponents is not None or args.format == "tsv"):
+        raise DomainError("--check writes a JSON report: it takes neither --exponents "
+                          "nor --format tsv")
     if args.check in ("heights", "whitney") and args.codim is None:
         raise DomainError("--codim is required for the %s check" % args.check)
     if not args.check and (args.exponents is None or args.codim is None):

@@ -139,6 +139,16 @@ def test_schubert_exponents_not_integers_exit_2(capsys):
     _assert_bad_input(["schubert", "--n", "2", "--codim", "5", "--exponents", "a,b"], capsys)
 
 
+@pytest.mark.parametrize("extra", [["--format", "tsv"], ["--exponents", "1,1"]],
+                         ids=["tsv", "exponents"])
+@pytest.mark.parametrize("check", ["main-obstruction", "power2free", "heights", "whitney"])
+def test_schubert_check_refuses_monomial_options(capsys, check, extra):
+    # a named check writes a JSON report and reads no monomial, so a table
+    # format or exponents beside it are bad input, not silently dropped
+    _assert_bad_input(["schubert", "--n", "2", "--m", "2", "--codim", "3", "--check", check]
+                      + extra, capsys)
+
+
 @pytest.mark.parametrize("check", ["main-obstruction", "power2free"])
 def test_schubert_m_defaults_to_1_and_zero_exit_2(capsys, check):
     code, out, _ = run_cli(["schubert", "--n", "2", "--check", check], capsys)
