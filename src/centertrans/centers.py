@@ -17,17 +17,18 @@ bound, from the same direction table.  Both come back as raw clip
 loops, and the report's DepthRegion puts the one it keeps in canonical
 form.  On the line c is its first coordinate and no region is reported.
 
-``transversal.verify`` needs only c of each marginal, whose depth is at
-least the marginals' common level: once that level reaches the bound, c
-is the centroid of one region probe at the bound, with no level search.
-polygon.centroid gives the same exact point for a raw clip loop as for
-its canonical form.
+The rule for c lives in ``_c_region`` alone, which takes a level the
+depth is known to reach and runs the level search only while that level
+is below the bound.  ``center_point`` passes 0.  ``transversal.verify``
+passes the marginals' common level, which no marginal's depth is below:
+once that level reaches the bound, c is the centroid of one region probe
+at the bound, with no level search.  polygon.centroid gives the same
+exact point for a raw clip loop as for its canonical form.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import polygon
 from .bounds import thresholds
 from .depth import (
     DepthRegion,
@@ -79,19 +80,32 @@ def classify(cloud, n):
     return INSUFFICIENT if dm.value < improved else SUFFICIENT
 
 
+def _c_region(table, n, level):
+    """(level, tau, loop) of the n-dimensional cloud whose direction table
+    this is: c is the centroid of loop, its raw region at tau.
+
+    level is one the cloud's depth reaches; below the improved bound the
+    level search replaces it by the depth.  tau is the lesser of the
+    level and the bound.
+    """
+    improved = thresholds(n)[1]
+    if level < improved:
+        level, loop = _deepest_common_region([table])
+    if level >= improved:
+        loop = _region_vertices([table], improved)
+    tau = min(level, improved)
+    if not loop:
+        raise InternalConsistencyError("superlevel region empty at an achieved level %s" % tau)
+    return level, tau, loop
+
+
 def center_point(cloud, n):
     """Associated point c of the measure, with its region and classification."""
     _check_exact_dim(cloud, n)
     n = cloud.dim
-    table = _DirectionTable(cloud)
     improved = thresholds(n)[1]
-    dm, verts = _deepest_common_region([table])
-    if dm >= improved:
-        verts = _region_vertices([table], improved)
-    level = min(dm, improved)
-    if not verts:
-        raise InternalConsistencyError("superlevel region empty at an achieved level %s" % level)
-    region = DepthRegion(verts, tau=level)
+    dm, tau, loop = _c_region(_DirectionTable(cloud), n, 0)
+    region = DepthRegion(loop, tau=tau)
     return CenterReport(
         depth_of_measure=dm,
         threshold=improved,
@@ -99,17 +113,3 @@ def center_point(cloud, n):
         c=region.centroid()[:n],
         region=region if n == 2 else None,
     )
-
-
-def _c_point(table, n, level):
-    """center_point's c for the n-dimensional cloud whose direction table
-    this is, given a level its depth reaches; the level search runs only
-    when that level is below the improved bound."""
-    improved = thresholds(n)[1]
-    if level < improved:
-        level, verts = _deepest_common_region([table])
-    if level >= improved:
-        level, verts = improved, _region_vertices([table], improved)
-    if not verts:
-        raise InternalConsistencyError("superlevel region empty at an achieved level %s" % level)
-    return polygon.centroid(verts)[:n]

@@ -21,11 +21,15 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import DomainError
-from .serialize import dump_json, float_rows, frac_str, json_field, load_json, parse_frac
+from .serialize import dump_json, float_rows, frac_str, json_field, load_json, parse_frac, tsv
 
 CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
 # directions, evenly spaced in angle, of the planar --point profile
 PROFILE_DIRECTIONS = 360
+# the search options, by the SearchConfig field each sets; SearchConfig
+# holds their defaults
+SEARCH_OPTIONS = {"restarts": "restarts", "local_steps": "local_steps",
+                  "angle": "initial_angle", "decay": "decay", "seed": "master_seed"}
 # argparse takes a token that starts with "-" for an option name unless it
 # is a plain negative number; one that starts so is a value: -1/2, -.5, -inf
 _NEGATIVE_VALUE = re.compile(r"-([0-9./]|inf|nan)", re.IGNORECASE)
@@ -49,13 +53,6 @@ def _emit(report, path):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_tsv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write("\t".join(header) + "\n")
-        for row in rows:
-            fh.write("\t".join(str(x) for x in row) + "\n")
 
 
 def _load_cloud(path):
@@ -89,8 +86,8 @@ def cmd_bounds(args):
         "improved_threshold": frac_str(improved),
     }
     if args.format == "tsv":
-        report = "m\tn\tN_min\trado\timproved\n%d\t%d\t%d\t%s\t%s\n" % (
-            args.m, args.n, n_min, frac_str(rado), frac_str(improved))
+        report = tsv(("m", "n", "N_min", "rado", "improved"),
+                     [(args.m, args.n, n_min, frac_str(rado), frac_str(improved))])
     _emit(report, args.output)
     return 0
 
@@ -100,6 +97,10 @@ def cmd_schubert(args):
     if args.check and (args.exponents is not None or args.format == "tsv"):
         raise DomainError("--check writes a JSON report: it takes neither --exponents "
                           "nor --format tsv")
+    # the obstruction checks take their codimension from --m
+    if args.check in ("main-obstruction", "power2free") and args.codim is not None:
+        raise DomainError("--check %s derives its codimension from --m: it takes no --codim"
+                          % args.check)
     if args.check in ("heights", "whitney") and args.codim is None:
         raise DomainError("--codim is required for the %s check" % args.check)
     if not args.check and (args.exponents is None or args.codim is None):
@@ -133,7 +134,7 @@ def cmd_schubert(args):
         "degree": cls.degree(),
     }
     if args.format == "tsv":
-        report = "cocycle\n" + "".join(",".join(map(str, a)) + "\n" for a in cls.sorted_support())
+        report = tsv(("cocycle",), ([",".join(map(str, a))] for a in cls.sorted_support()))
     _emit(report, args.output)
     return 0
 
@@ -163,17 +164,12 @@ def cmd_depth(args):
         if dv.witness_direction is not None:
             report["witness_direction"] = [frac_str(c) for c in dv.witness_direction]
         if args.tsv_out:
-            rows = _direction_profile(cloud, x)
-            _write_tsv(args.tsv_out, ("angle", "mass"), rows)
+            _emit(tsv(("angle", "mass"), _direction_profile(cloud, x)), args.tsv_out)
     elif args.region is not None:
         region = depth_region(cloud, tau)
         report["region"] = region.to_dict()
         if args.tsv_out:
-            _write_tsv(
-                args.tsv_out,
-                ("x", "y"),
-                [(frac_str(x), frac_str(y)) for x, y in region.vertices],
-            )
+            _emit(tsv(("x", "y"), (map(frac_str, v) for v in region.vertices)), args.tsv_out)
     else:
         dv, point = depth_of_measure(cloud)
         report["depth_of_measure"] = frac_str(dv.value)
@@ -230,6 +226,12 @@ def cmd_simplex(args):
 
 
 def cmd_transversal(args):
+    given = {field: getattr(args, option) for option, field in SEARCH_OPTIONS.items()
+             if getattr(args, option) is not None}
+    # a given frame is verified, not searched for: nothing configures or traces a search
+    if args.frame and (given or args.tsv_out):
+        raise DomainError("--frame verifies one frame: it takes no --tsv-out and no search "
+                          "option (--restarts, --local-steps, --angle, --decay, --seed)")
     from .cloud import OrthoFrame
     from .transversal import SearchConfig, search, verify
 
@@ -238,34 +240,20 @@ def cmd_transversal(args):
     if args.frame:
         frame = OrthoFrame.from_dict(load_json(args.frame))
         rep = verify(frame, clouds, args.n, target=target)
-        config_echo = {}
+        manifest = _manifest("transversal", inputs=args.input)
     else:
-        config = SearchConfig(
-            restarts=args.restarts,
-            local_steps=args.local_steps,
-            initial_angle=args.angle,
-            decay=args.decay,
-            master_seed=args.seed,
-            target=target,
-        )
+        config = SearchConfig(**given, target=target)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = search(clouds, args.n, config)
         for w in caught:
             sys.stderr.write("warning: %s\n" % w.message)
-        config_echo = config.to_dict()
-    report = {
-        "manifest": _manifest("transversal", inputs=list(args.input),
-                              seed=args.seed, config=config_echo),
-    }
-    report.update(rep.to_dict())
+        manifest = _manifest("transversal", inputs=args.input, seed=config.master_seed,
+                             config=config.to_dict())
     if args.tsv_out:
-        _write_tsv(
-            args.tsv_out,
-            ("restart", "objective", "success"),
-            [(i, obj, int(s)) for i, obj, s in rep.trajectory],
-        )
-    _emit(report, args.output)
+        _emit(tsv(("restart", "objective", "success"),
+                  ((i, obj, int(s)) for i, obj, s in rep.trajectory)), args.tsv_out)
+    _emit({"manifest": manifest, **rep.to_dict()}, args.output)
     return 0 if rep.success else 1
 
 
@@ -284,13 +272,12 @@ def cmd_gen(args):
         rotate=not args.no_rotate,
     )
     if args.out and args.out.endswith(".tsv"):
-        with open(args.out, "w") as fh:
-            fh.write(cloud.to_tsv())
+        body = cloud.to_tsv()
     else:
         body = {"manifest": _manifest("gen", seed=args.seed,
                                       config={"family": args.family}),
                 **cloud.to_dict()}
-        _emit(body, args.out)
+    _emit(body, args.out)
     if args.classify:
         from .centers import classify
 
@@ -364,11 +351,11 @@ def build_parser():
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--frame", help="verify this frame instead of searching")
-    p.add_argument("--restarts", type=int, default=60)
-    p.add_argument("--local-steps", type=int, default=40)
-    p.add_argument("--angle", type=float, default=0.6)
-    p.add_argument("--decay", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--local-steps", type=int)
+    p.add_argument("--angle", type=float)
+    p.add_argument("--decay", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--target", help="depth target as a rational (default improved bound)")
     p.add_argument("--tsv-out")
     p.add_argument("--output")

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 
 from .errors import DomainError
-from .serialize import float_rows, frac_str, json_field, parse_frac
+from .serialize import float_rows, frac_str, json_field, parse_frac, tsv
 
 FRAME_QUANTIZE_DIGITS = 12
 
@@ -113,11 +113,8 @@ class WeightedPointCloud:
         return cls(dim, [(tuple(map(parse_frac, x)), w) for x, w in zip(points, weights)])
 
     def to_tsv(self):
-        header = "\t".join(["x%d" % (i + 1) for i in range(self.dim)] + ["weight"])
-        lines = [header]
-        for p, w in self.atoms:
-            lines.append("\t".join([frac_str(c) for c in p] + [frac_str(w)]))
-        return "\n".join(lines) + "\n"
+        return tsv(["x%d" % (i + 1) for i in range(self.dim)] + ["weight"],
+                   ([frac_str(c) for c in p + (w,)] for p, w in self.atoms))
 
     @classmethod
     def from_tsv(cls, text):

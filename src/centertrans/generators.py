@@ -87,7 +87,8 @@ def generate_cloud(
 
     Only adversarial-three-cluster takes a spread (CLUSTER_SPREAD by
     default), and only the planar families embedded in R^ambient take an
-    ambient.
+    ambient.  simplex-atoms and adversarial-three-cluster have fixed equal
+    weights, so they take no weight mode but "equal".
     """
     if family not in FAMILIES:
         raise DomainError("unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES)))
@@ -102,6 +103,9 @@ def generate_cloud(
         raise DomainError("spread must be a finite number, got %r" % (spread,))
     if ambient is not None and family in ("simplex-atoms", "uniform-ball", "gaussian-quantized"):
         raise DomainError("%s takes no ambient; its dimension is dim" % family)
+    if weight_mode != "equal" and family in ("simplex-atoms", "adversarial-three-cluster"):
+        raise DomainError("%s has fixed equal weights; it takes no weight mode %r"
+                          % (family, weight_mode))
     import numpy as np
 
     from .cloud import WeightedPointCloud

@@ -3,7 +3,7 @@
 Rationals cross every file and CLI boundary as "p/q" strings so no
 precision is lost.  JSON output is canonicalized (sorted keys, fixed
 indent, trailing newline) so identical inputs produce byte-identical
-report files.
+report files; every tab-separated table is written by ``tsv``.
 """
 
 import json
@@ -91,6 +91,11 @@ def float_rows(value, what):
     if not all(math.isfinite(x) for row in rows for x in row):
         raise DomainError("%s must be finite numbers" % what)
     return rows
+
+
+def tsv(header, rows):
+    """Tab-separated text: the header line, then one line per row."""
+    return "".join("\t".join(map(str, line)) + "\n" for line in (header, *rows))
 
 
 def dump_json(obj):

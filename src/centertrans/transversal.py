@@ -43,7 +43,7 @@ from itertools import combinations
 
 from . import polygon
 from .bounds import min_dimension, thresholds
-from .centers import _c_point
+from .centers import _c_region
 from .cloud import OrthoFrame, _as_fraction, dot
 from .depth import (
     _ascent, _deepest_common_region, _DirectionTable, _images, _mean, tukey_depth,
@@ -189,17 +189,16 @@ def objective(frame, clouds, n):
     witness.  For n <= 2 the witness is the centroid of the deepest common
     region, and the value equals the common level.
     """
-    _check_clouds(frame, clouds)
+    _check_clouds(clouds)
     return _objective_parts(frame, clouds, n)[:2]
 
 
-def _check_clouds(frame, clouds):
+def _check_clouds(clouds):
+    # _images checks a frame's ambient dimension against each cloud's
     if not clouds:
         raise DomainError("need at least one cloud")
     if len({c.dim for c in clouds}) != 1:
         raise DomainError("clouds must share one ambient dimension")
-    if frame is not None and frame.ambient != clouds[0].dim:
-        raise DomainError("frame ambient does not match the clouds")
 
 
 def _target(target, n):
@@ -216,17 +215,20 @@ def verify(frame, clouds, n, target=None):
     The report carries no search record: restart_index and config are
     None and the trajectory is empty.  The target defaults to the
     improved bound.  The marginals are read as integer images, with no
-    cloud.  For n <= 2 the c-points reuse the direction tables of the
-    level search, and its level bounds every marginal's depth from below:
-    when the level reaches the improved bound, each c-point is the
-    centroid of one region probe at the bound, with no level search.
+    cloud, and ``_images`` refuses a frame whose ambient dimension is not
+    the clouds'.  For n <= 2 each c-point is ``centers._c_region``'s, the
+    rule center_point uses, read off the direction tables of the level
+    search; its level bounds every marginal's depth from below, so once
+    it reaches the improved bound each c-point is the centroid of one
+    region probe at the bound, with no level search.
     """
-    _check_clouds(frame, clouds)
+    _check_clouds(clouds)
     if frame.n != n:
         raise DomainError("frame has %d rows, expected n = %d" % (frame.n, n))
     target = _target(target, n)
     value, witness, per, tables = _objective_parts(frame, clouds, n)
-    c_points = tuple(_c_point(t, n, value) for t in tables) if n <= 2 else ()
+    c_points = tuple(polygon.centroid(_c_region(t, n, value)[2])[:n]
+                     for t in tables) if n <= 2 else ()
     spread = max((math.sqrt(sum(float(a - b) ** 2 for a, b in zip(p, q)))
                   for p, q in combinations(c_points, 2)), default=0.0)
     failing = tuple(i for i, v in enumerate(per) if v < target)
@@ -296,7 +298,7 @@ def search(clouds, n, config=None):
     The report is verify's for that restart's frame, with the restart
     index, the config and the trajectory of every restart run added.
     """
-    _check_clouds(None, clouds)
+    _check_clouds(clouds)
     if config is None:
         config = SearchConfig()
     n = int(n)

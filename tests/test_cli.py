@@ -68,6 +68,36 @@ def test_tsv_format_goes_to_output(capsys, tmp_path, argv, want):
     assert path.read_text() == want
 
 
+# sha256 of the 361-line --point profile of the triangle at its centroid:
+# each of the 360 directions cuts off mass 1/3 or 2/3
+TRIANGLE_PROFILE_DIGEST = "e312a9265c97d9a601550f71629600a1487ebaea16e346e2d8434d15239265a0"
+
+
+def test_tsv_files_are_literal_tables(capsys, tmp_path):
+    # every table is a header line and one tab-separated line per row
+    tri = write_triangle(tmp_path / "tri.json")
+    path = tmp_path / "out.tsv"
+    for argv, want in [
+        (["gen", "--family", "simplex-atoms", "--dim", "2", "--out", str(path)],
+         "x1\tx2\tweight\n0/1\t0/1\t1/3\n1/1\t0/1\t1/3\n0/1\t1/1\t1/3\n"),
+        (["depth", "--input", tri, "--region", "1/3", "--tsv-out", str(path)],
+         "x\ty\n0/1\t0/1\n1/1\t0/1\n0/1\t1/1\n"),
+        # the x marginal's depth 2/3 misses the target 1 at both restarts
+        (["transversal", "--input", tri, "--n", "1", "--restarts", "2", "--local-steps", "0",
+          "--target", "1", "--tsv-out", str(path)],
+         "restart\tobjective\tsuccess\n0\t0.6666666666666666\t0\n1\t0.6666666666666666\t0\n"),
+    ]:
+        run_cli(argv, capsys)
+        assert path.read_text() == want, argv[0]
+        path.unlink()
+    code, _, _ = run_cli(["depth", "--input", tri, "--point", "1/3,1/3", "--tsv-out", str(path)],
+                         capsys)
+    text = path.read_text()
+    assert code == 0
+    assert text.startswith("angle\tmass\n0.000000\t1/3\n0.017453\t1/3\n0.034907\t1/3\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIANGLE_PROFILE_DIGEST
+
+
 def test_schubert_monomial(capsys):
     code, out, _ = run_cli(
         ["schubert", "--n", "2", "--codim", "5", "--exponents", "2,3"], capsys
@@ -147,6 +177,14 @@ def test_schubert_check_refuses_monomial_options(capsys, check, extra):
     # format or exponents beside it are bad input, not silently dropped
     _assert_bad_input(["schubert", "--n", "2", "--m", "2", "--codim", "3", "--check", check]
                       + extra, capsys)
+
+
+@pytest.mark.parametrize("check", ["main-obstruction", "power2free"])
+def test_schubert_obstruction_check_refuses_codim(capsys, check):
+    # both checks take their codimension from --m, so a --codim beside
+    # them was dropped: --n 2 --m 2 --codim 9 reported codim 3 and passed
+    argv = ["schubert", "--n", "2", "--m", "2", "--codim", "9", "--check", check]
+    assert "--codim" in _assert_bad_input(argv, capsys)
 
 
 @pytest.mark.parametrize("check", ["main-obstruction", "power2free"])
@@ -599,6 +637,51 @@ def test_transversal_below_the_bound_warns_in_one_line(capsys, tmp_path, recwarn
     assert not recwarn.list  # printed, not passed on as a Python warning
 
 
+def _x_frame(tmp_path):
+    path = tmp_path / "xframe.json"
+    path.write_text(json.dumps({"ambient": 2, "rows": [[1.0, 0.0]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--restarts", "3"], ["--local-steps", "3"], ["--angle", "0.5"], ["--decay", "0.5"],
+    ["--seed", "1"], ["--seed", "0"], ["--tsv-out", "trajectory.tsv"],
+], ids=["restarts", "local-steps", "angle", "decay", "seed", "seed 0", "tsv-out"])
+def test_transversal_frame_refuses_search_options(capsys, tmp_path, extra):
+    # a given frame is verified, not searched for: these options were
+    # dropped, and --tsv-out got an empty trajectory
+    tri = write_triangle(tmp_path / "tri.json")
+    argv = ["transversal", "--input", tri, "--n", "1", "--frame", _x_frame(tmp_path)]
+    if extra[0] == "--tsv-out":
+        extra = ["--tsv-out", str(tmp_path / extra[1])]
+    assert "--frame" in _assert_bad_input(argv + extra, capsys)
+    assert not (tmp_path / "trajectory.tsv").exists()
+
+
+def test_transversal_manifest_seed(capsys, tmp_path):
+    # a search records its config's seed, 0 when --seed is not given, and
+    # SearchConfig's defaults; a verified frame ran no seeded search
+    tri = write_triangle(tmp_path / "tri.json")
+    code, out, _ = run_cli(["transversal", "--input", tri, "--n", "1"], capsys)
+    manifest = json.loads(out)["manifest"]
+    assert code == 0 and manifest["seed"] == 0
+    assert manifest["config"] == {"restarts": 60, "local_steps": 40, "initial_angle": 0.6,
+                                  "decay": 0.7, "master_seed": 0, "target": None}
+    code, out, _ = run_cli(["transversal", "--input", tri, "--n", "1", "--seed", "5"], capsys)
+    assert code == 0 and json.loads(out)["manifest"]["seed"] == 5
+    argv = ["transversal", "--input", tri, "--n", "1", "--frame", _x_frame(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    manifest = json.loads(out)["manifest"]
+    assert code == 0 and (manifest["seed"], manifest["config"]) == (None, {})
+
+
+def test_transversal_frame_of_another_ambient_dimension_exit_2(capsys, tmp_path):
+    tet = write_simplex(tmp_path / "tet.json", 3)
+    error = _assert_bad_input(["transversal", "--input", tet, "--n", "1",
+                               "--frame", _x_frame(tmp_path)], capsys)
+    assert error.startswith("error: frame ambient")
+
+
 @pytest.mark.parametrize(
     "frame",
     [{"rows": [["a"]]}, {"rows": [[1, 0], [0, 1]], "tolerance": "x"}, {"rows": 5},
@@ -709,6 +792,9 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
          CLI_CORE + ["bounds", "schubert"]),
         (["schubert", "--n", "2", "--codim", "5", "--exponents", "2,3"], 0,
          CLI_CORE + ["bounds", "schubert"]),
+        # a --codim beside an obstruction check is refused before schubert loads
+        (["schubert", "--n", "2", "--m", "2", "--codim", "9", "--check", "power2free"], 2,
+         CLI_CORE),
         (["depth", "--input", tri, "--point", "1/3,1/3"], 0, DEPTH_KERNEL),
         (["depth", "--input", tet, "--point", "1/4,1/4,1/4"], 0, DEPTH_KERNEL),
         (["depth", "--input", simplex4, "--point", "1/5,1/5,1/5,1/5"], 0, DEPTH_KERNEL),

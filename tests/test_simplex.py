@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from centertrans.centers import center_point
 from centertrans.cloud import WeightedPointCloud
 from centertrans.errors import (
     DegeneracyError,
@@ -200,6 +201,19 @@ def test_witness_vertices_cluster_cloud():
     # each vertex points roughly at one cluster
     norms = np.linalg.norm(verts, axis=1)
     assert np.all(norms > 0.5)
+
+
+def test_witness_vertices_on_the_line():
+    # atoms 0, 1, 5, 9 have depth 1/2 < 13/24 and c = 3, the middle of
+    # [1, 5]; the sectors x < c and x > c have barycenters -2.5 and 4 about
+    # c, recentered to -3.25 and 3.25, and the placement is +-1/2
+    cloud = WeightedPointCloud(1, [((F(x),), F(1, 4)) for x in (0, 1, 5, 9)])
+    report = center_point(cloud, 1)
+    assert (report.depth_of_measure, report.threshold, report.c) == (F(1, 2), F(13, 24), (3,))
+    tup = witness_vertices(cloud)
+    assert tup.vertices == ((3.25,), (-3.25,))
+    delta = delta_of_vertices(tup).delta_vertices
+    assert np.allclose(delta, [[0.5], [-0.5]], rtol=0, atol=1e-12)
 
 
 def test_witness_vertices_requires_insufficient():

@@ -104,6 +104,16 @@ def test_objective_monotone_infeasible_target():
     assert value < 1  # tau = 1 is infeasible for a spread-out cloud
 
 
+@pytest.mark.parametrize("call", [verify, objective], ids=["verify", "objective"])
+@pytest.mark.parametrize("ambient", [2, 4])
+def test_frame_of_another_ambient_dimension_is_refused(call, ambient):
+    # depth._images checks the frame's ambient dimension on every projection
+    cloud = embedded(planar_cloud())
+    frame = axis_frame(ambient)
+    with pytest.raises(DomainError, match="frame ambient %d does not match cloud dim 3" % ambient):
+        call(frame, [cloud, cloud], 2)
+
+
 def test_search_degenerate_config_is_single_frame():
     c = embedded(planar_cloud(seed=11))
     cfg = SearchConfig(restarts=1, local_steps=0, master_seed=7, target=F(1))
