@@ -5,6 +5,10 @@ echo, artifact version); wall time is logged to stderr so identical
 seeds and inputs rerun to byte-identical report files.  Exit codes:
 0 success, 1 a named check or verification target failed, 2 bad input.
 
+READS lists the options each mode reads; ``main`` refuses any other that
+is given (exit 2) before the subcommand runs.  An option that some mode
+refuses has no argparse default, so the namespace shows what was given.
+
 Each subcommand imports the modules it runs when it runs, so a process
 loads (and, without cached bytecode, compiles) only those: ``bounds``
 needs no kernel at all, and only ``gen``, ``simplex``, the
@@ -23,13 +27,33 @@ from . import __version__
 from .errors import DomainError
 from .serialize import dump_json, float_rows, frac_str, json_field, load_json, parse_frac, tsv
 
-CHECKS = ("main-obstruction", "power2free", "heights", "whitney")
+# the schubert function each named check runs
+CHECKS = {"main-obstruction": "obstruction_main", "power2free": "obstruction_power2free",
+          "heights": "check_heights", "whitney": "check_whitney"}
+# the options each mode reads.  A mode is a subcommand, or a subcommand with
+# the option its key names given (with that value, if the key names one).  A
+# trailing "!" marks an option that the mode needs though others do without.
+READS = {
+    "bounds": "--m --n --format --output",
+    "schubert": "--n --codim! --exponents! --format --output",
+    "schubert --check main-obstruction": "--n --m --check --output",
+    "schubert --check power2free": "--n --m --check --output",
+    "schubert --check heights": "--n --codim! --check --output",
+    "schubert --check whitney": "--n --codim! --check --output",
+    "depth": "--input --output",
+    "depth --point": "--input --point --tsv-out --output",
+    "depth --region": "--input --region --tsv-out --output",
+    "center": "--input --output",
+    "simplex": "--input --force --output",
+    "simplex --vertices": "--vertices --output",
+    "transversal": "--input --n --restarts --local-steps --angle --decay --seed --target "
+                   "--tsv-out --output",
+    "transversal --frame": "--input --n --frame --target --output",
+    "gen": "--family --seed --atoms --dim --ambient --denominator --weights --spread "
+           "--no-rotate --classify --out",
+}
 # directions, evenly spaced in angle, of the planar --point profile
 PROFILE_DIRECTIONS = 360
-# the search options, by the SearchConfig field each sets; SearchConfig
-# holds their defaults
-SEARCH_OPTIONS = {"restarts": "restarts", "local_steps": "local_steps",
-                  "angle": "initial_angle", "decay": "decay", "seed": "master_seed"}
 # argparse takes a token that starts with "-" for an option name unless it
 # is a plain negative number; one that starts so is a value: -1/2, -.5, -inf
 _NEGATIVE_VALUE = re.compile(r"-([0-9./]|inf|nan)", re.IGNORECASE)
@@ -93,29 +117,14 @@ def cmd_bounds(args):
 
 
 def cmd_schubert(args):
-    # a named check writes its JSON report and reads no monomial
-    if args.check and (args.exponents is not None or args.format == "tsv"):
-        raise DomainError("--check writes a JSON report: it takes neither --exponents "
-                          "nor --format tsv")
-    # the obstruction checks take their codimension from --m
-    if args.check in ("main-obstruction", "power2free") and args.codim is not None:
-        raise DomainError("--check %s derives its codimension from --m: it takes no --codim"
-                          % args.check)
-    if args.check in ("heights", "whitney") and args.codim is None:
-        raise DomainError("--codim is required for the %s check" % args.check)
-    if not args.check and (args.exponents is None or args.codim is None):
-        raise DomainError("need --exponents and --codim (or a named --check)")
     from . import schubert
 
     if args.check:
-        if args.check == "main-obstruction":
-            result = schubert.obstruction_main(args.m, args.n)
-        elif args.check == "power2free":
-            result = schubert.obstruction_power2free(args.m, args.n)
-        elif args.check == "heights":
-            result = schubert.check_heights(schubert.GrassmannContext(args.n, args.codim))
-        else:
-            result = schubert.check_whitney(schubert.GrassmannContext(args.n, args.codim))
+        check = getattr(schubert, CHECKS[args.check])
+        if args.check in ("heights", "whitney"):
+            result = check(schubert.GrassmannContext(args.n, args.codim))
+        else:  # an obstruction check; --m is 1 when not given
+            result = check(1 if args.m is None else args.m, args.n)
         _emit({"manifest": _manifest("schubert"), "result": result}, args.output)
         return 0 if result["ok"] else 1
     ctx = schubert.GrassmannContext(args.n, args.codim)
@@ -141,8 +150,6 @@ def cmd_schubert(args):
 
 def cmd_depth(args):
     # bad input exits before the depth kernel is imported
-    if args.tsv_out and args.point is None and args.region is None:
-        raise DomainError("--tsv-out needs --point or --region")
     cloud = _load_cloud(args.input)
     if args.point is not None:
         if args.tsv_out and cloud.dim != 2:
@@ -226,23 +233,19 @@ def cmd_simplex(args):
 
 
 def cmd_transversal(args):
-    given = {field: getattr(args, option) for option, field in SEARCH_OPTIONS.items()
-             if getattr(args, option) is not None}
-    # a given frame is verified, not searched for: nothing configures or traces a search
-    if args.frame and (given or args.tsv_out):
-        raise DomainError("--frame verifies one frame: it takes no --tsv-out and no search "
-                          "option (--restarts, --local-steps, --angle, --decay, --seed)")
     from .cloud import OrthoFrame
     from .transversal import SearchConfig, search, verify
 
     clouds = [_load_cloud(p) for p in args.input]
-    target = None if args.target is None else parse_frac(args.target)
+    args.target = None if args.target is None else parse_frac(args.target)
     if args.frame:
         frame = OrthoFrame.from_dict(load_json(args.frame))
-        rep = verify(frame, clouds, args.n, target=target)
+        rep = verify(frame, clouds, args.n, target=args.target)
         manifest = _manifest("transversal", inputs=args.input)
     else:
-        config = SearchConfig(**given, target=target)
+        # the search options' dests are the SearchConfig fields they set
+        config = SearchConfig(**{f: getattr(args, f) for f in SearchConfig.__dataclass_fields__
+                                 if getattr(args, f) is not None})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rep = search(clouds, args.n, config)
@@ -258,24 +261,16 @@ def cmd_transversal(args):
 
 
 def cmd_gen(args):
-    from .generators import generate_cloud
+    from .generators import DEFAULTS, READS, generate_cloud
 
-    cloud = generate_cloud(
-        args.family,
-        seed=args.seed,
-        atoms=args.atoms,
-        dim=args.dim,
-        ambient=args.ambient,
-        denominator=args.denominator,
-        weight_mode=args.weights,
-        spread=args.spread,
-        rotate=not args.no_rotate,
-    )
+    # the options' dests are generate_cloud's keywords
+    given = {k: getattr(args, k) for k in DEFAULTS if getattr(args, k) is not None}
+    cloud = generate_cloud(args.family, **given)
     if args.out and args.out.endswith(".tsv"):
         body = cloud.to_tsv()
     else:
-        body = {"manifest": _manifest("gen", seed=args.seed,
-                                      config={"family": args.family}),
+        seed = given.get("seed", DEFAULTS["seed"]) if "seed" in READS[args.family] else None
+        body = {"manifest": _manifest("gen", seed=seed, config={"family": args.family}),
                 **cloud.to_dict()}
     _emit(body, args.out)
     if args.classify:
@@ -287,12 +282,12 @@ def cmd_gen(args):
 
 
 class _Families:
-    """generators.FAMILIES, imported only when argparse reads a --family value."""
+    """The families of generators.READS, imported only when argparse reads a --family value."""
 
     def __iter__(self):
-        from .generators import FAMILIES
+        from .generators import READS
 
-        return iter(FAMILIES)
+        return iter(READS)
 
     def __contains__(self, name):
         return name in tuple(self)
@@ -317,10 +312,10 @@ def build_parser():
     p = sub.add_parser("schubert", help="monomial supports and named checks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--codim", type=int)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int)
     p.add_argument("--exponents", help="comma-separated e1,...,en for w1^e1...wn^en")
     p.add_argument("--check", choices=CHECKS)
-    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.add_argument("--format", choices=("json", "tsv"))
     p.add_argument("--output")
     p.set_defaults(func=cmd_schubert)
 
@@ -342,7 +337,7 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="cloud file (sector-barycenter surrogate)")
     source.add_argument("--vertices", help="vertex tuple json file")
-    p.add_argument("--force", action="store_true",
+    p.add_argument("--force", action="store_true", default=None,
                    help="build the surrogate even for sufficient depth")
     p.add_argument("--output")
     p.set_defaults(func=cmd_simplex)
@@ -353,9 +348,9 @@ def build_parser():
     p.add_argument("--frame", help="verify this frame instead of searching")
     p.add_argument("--restarts", type=int)
     p.add_argument("--local-steps", type=int)
-    p.add_argument("--angle", type=float)
+    p.add_argument("--angle", type=float, dest="initial_angle")
     p.add_argument("--decay", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="master_seed")
     p.add_argument("--target", help="depth target as a rational (default improved bound)")
     p.add_argument("--tsv-out")
     p.add_argument("--output")
@@ -364,15 +359,16 @@ def build_parser():
     p = sub.add_parser("gen", help="deterministic instance files")
     p.add_argument("--family", choices=_Families(), metavar="FAMILY", required=True,
                    help="one of %(choices)s")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--atoms", type=int, default=12)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--atoms", type=int, help="atom count; adversarial-three-cluster "
+                   "writes 3 * max(1, atoms // 3)")
+    p.add_argument("--dim", type=int)
     p.add_argument("--ambient", type=int)
-    p.add_argument("--denominator", type=int, default=10000)
-    p.add_argument("--weights", choices=("equal", "random"), default="equal")
+    p.add_argument("--denominator", type=int)
+    p.add_argument("--weights", choices=("equal", "random"), dest="weight_mode")
     p.add_argument("--spread", type=float,
                    help="cluster jitter of adversarial-three-cluster (default 0.05)")
-    p.add_argument("--no-rotate", action="store_true")
+    p.add_argument("--no-rotate", action="store_false", default=None, dest="rotate")
     p.add_argument("--classify", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
@@ -383,9 +379,7 @@ def build_parser():
 def _bind_values(parser, argv):
     """'--opt -1/2' -> '--opt=-1/2' for every option that takes one value,
     or any prefix of one, as argparse reads abbreviations."""
-    parsers = [p for a in parser._actions if isinstance(a.choices, dict)
-               for p in a.choices.values()]
-    single = {s for p in parsers for a in p._actions if a.nargs is None
+    single = {s for p in _subparsers(parser).values() for a in p._actions if a.nargs is None
               for s in a.option_strings}
     out = []
     for arg in argv:
@@ -397,11 +391,34 @@ def _bind_values(parser, argv):
     return out
 
 
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+
+
+def _check_mode(parser, args):
+    """Refuse a given option that args' mode does not read, and a missing one it needs."""
+    given = {a.option_strings[0]: getattr(args, a.dest)
+             for a in _subparsers(parser)[args.command]._actions
+             if getattr(args, a.dest, None) is not None}
+    # the key that names an option given (with its value), else the subcommand
+    mode = next((m for m in READS for o, v in given.items()
+                 if m in ("%s %s" % (args.command, o), "%s %s %s" % (args.command, o, v))),
+                args.command)
+    reads = READS[mode].split()
+    refused = [o for o in given if o not in reads and o + "!" not in reads]
+    if refused:
+        raise DomainError("%s takes no %s" % (mode, " or ".join(refused)))
+    missing = [o[:-1] for o in reads if o.endswith("!") and o[:-1] not in given]
+    if missing:
+        raise DomainError("%s needs %s" % (mode, " and ".join(missing)))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_bind_values(parser, sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
+        _check_mode(parser, args)
         code = args.func(args)
     except (DomainError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -11,15 +11,19 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-FAMILIES = (
-    "uniform-ball",
-    "gaussian-quantized",
-    "simplex-atoms",
-    "coplanar",
-    "adversarial-three-cluster",
-)
-# the cluster jitter of adversarial-three-cluster, the one family with a spread
-CLUSTER_SPREAD = 0.05
+# the keywords each family reads; generate_cloud refuses any other it is given
+READS = {
+    "uniform-ball": ("seed", "atoms", "dim", "denominator", "weight_mode"),
+    "gaussian-quantized": ("seed", "atoms", "dim", "denominator", "weight_mode"),
+    "simplex-atoms": ("dim",),
+    "coplanar": ("seed", "atoms", "dim", "ambient", "denominator", "weight_mode", "rotate"),
+    "adversarial-three-cluster": ("seed", "atoms", "dim", "ambient", "denominator", "spread",
+                                  "rotate"),
+}
+# the value of each keyword that is not given, in generate_cloud's order;
+# spread is the cluster jitter of adversarial-three-cluster
+DEFAULTS = {"seed": 0, "atoms": 12, "dim": 2, "ambient": None, "denominator": 10000,
+            "weight_mode": "equal", "spread": 0.05, "rotate": True}
 
 # exact rational rotations used to scramble embedded instances
 _PYTHAGOREAN = (
@@ -72,40 +76,35 @@ def _embed(points2, ambient, rng, rotate):
     ]
 
 
-def generate_cloud(
-    family,
-    seed=0,
-    atoms=12,
-    dim=2,
-    ambient=None,
-    denominator=10000,
-    weight_mode="equal",
-    spread=None,
-    rotate=True,
-):
+def generate_cloud(family, seed=None, atoms=None, dim=None, ambient=None, denominator=None,
+                   weight_mode=None, spread=None, rotate=None):
     """One deterministic instance of the named family.
 
-    Only adversarial-three-cluster takes a spread (CLUSTER_SPREAD by
-    default), and only the planar families embedded in R^ambient take an
-    ambient.  simplex-atoms and adversarial-three-cluster have fixed equal
-    weights, so they take no weight mode but "equal".
+    A keyword that is None takes its DEFAULTS value.  Each family reads
+    only the keywords READS lists for it, and any other that is given is a
+    DomainError; so are dim beside ambient, and rotate where nothing is
+    embedded (adversarial-three-cluster at ambient 2).  coplanar's ambient
+    defaults to max(3, dim), adversarial-three-cluster's to dim.
+    adversarial-three-cluster writes three equal clusters of
+    max(1, atoms // 3) atoms each, so atoms 1 to 5 all give 3 atoms.
     """
-    if family not in FAMILIES:
-        raise DomainError("unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES)))
+    given = {k: v for k, v in locals().items() if k != "family" and v is not None}
+    if family not in READS:
+        raise DomainError("unknown family %r (choose from %s)" % (family, ", ".join(READS)))
+    refused = [k for k in given if k not in READS[family]]
+    if refused:
+        raise DomainError("%s takes no %s" % (family, " or ".join(refused)))
+    if "dim" in given and "ambient" in given:
+        raise DomainError("%s takes dim or ambient, not both" % family)
+    seed, atoms, dim, ambient, denominator, weight_mode, spread, rotate = (
+        given.get(k, default) for k, default in DEFAULTS.items())
     if atoms < 1 or denominator < 1 or dim < 1:
         raise DomainError("atoms (%r), dim (%r) and denominator (%r) must be >= 1"
                           % (atoms, dim, denominator))
     if isinstance(seed, int) and seed < 0:
         raise DomainError("seed must be >= 0, got %d" % seed)
-    if spread is not None and family != "adversarial-three-cluster":
-        raise DomainError("%s takes no spread; only adversarial-three-cluster does" % family)
-    if spread is not None and not math.isfinite(spread):
+    if not math.isfinite(spread):
         raise DomainError("spread must be a finite number, got %r" % (spread,))
-    if ambient is not None and family in ("simplex-atoms", "uniform-ball", "gaussian-quantized"):
-        raise DomainError("%s takes no ambient; its dimension is dim" % family)
-    if weight_mode != "equal" and family in ("simplex-atoms", "adversarial-three-cluster"):
-        raise DomainError("%s has fixed equal weights; it takes no weight mode %r"
-                          % (family, weight_mode))
     import numpy as np
 
     from .cloud import WeightedPointCloud
@@ -147,14 +146,15 @@ def generate_cloud(
     target_dim = dim if ambient is None else ambient
     if target_dim < 2:
         raise DomainError("adversarial-three-cluster needs ambient >= 2 (ambient defaults to dim)")
+    if target_dim == 2 and "rotate" in given:
+        raise DomainError("adversarial-three-cluster embeds nothing at ambient 2: "
+                          "it takes no rotate")
     per = max(1, atoms // 3)
     centers = [
         (math.cos(math.pi / 2), math.sin(math.pi / 2)),
         (math.cos(math.pi * 7 / 6), math.sin(math.pi * 7 / 6)),
         (math.cos(math.pi * 11 / 6), math.sin(math.pi * 11 / 6)),
     ]
-    if spread is None:
-        spread = CLUSTER_SPREAD
     pts2 = []
     for cx, cy in centers:
         jitter = rng.standard_normal((per, 2)) * spread
@@ -164,10 +164,8 @@ def generate_cloud(
             )
     w = Fraction(1, 3 * per)
     if target_dim > 2:
-        pts = _embed(pts2, target_dim, rng, rotate)
-    else:
-        pts = pts2
-    return WeightedPointCloud(target_dim, [(p, w) for p in pts])
+        pts2 = _embed(pts2, target_dim, rng, rotate)
+    return WeightedPointCloud(target_dim, [(p, w) for p in pts2])
 
 
 def centerline_suite():

@@ -386,7 +386,7 @@ def test_depth_tsv_out_needs_a_mode(capsys, tmp_path):
     # the option is checked before the cloud loads: a missing file is not reported
     for cloud in (write_triangle(tmp_path / "tri.json"), str(tmp_path / "missing.json")):
         error = _assert_bad_input(["depth", "--input", cloud, "--tsv-out", str(tsv)], capsys)
-        assert error == "error: --tsv-out needs --point or --region"
+        assert error == "error: depth takes no --tsv-out"
     assert not tsv.exists()
 
 
@@ -780,6 +780,8 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
     broken.write_text('{"dim": 2, "atoms": [')
     plane = tmp_path / "plane.json"
     plane.write_text(json.dumps({"ambient": 2, "rows": [[0.6, 0.8], [-0.8, 0.6]]}))
+    vertices = tmp_path / "vertices.json"
+    vertices.write_text(json.dumps({"vertices": [[1, 0], [-0.5, 0.8], [-0.5, -0.8]]}))
     # (argv, exit code, modules loaded); None imports only the package and
     # [] only the CLI module
     cases = [
@@ -795,6 +797,12 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
         # a --codim beside an obstruction check is refused before schubert loads
         (["schubert", "--n", "2", "--m", "2", "--codim", "9", "--check", "power2free"], 2,
          CLI_CORE),
+        # so are --m beside a check that reads none, and --force beside --vertices
+        (["schubert", "--n", "2", "--codim", "3", "--m", "5", "--check", "heights"], 2,
+         CLI_CORE),
+        (["simplex", "--vertices", str(vertices), "--force"], 2, CLI_CORE),
+        # and --tsv-out without --point or --region, before the cloud loads
+        (["depth", "--input", tri, "--tsv-out", str(tmp_path / "x.tsv")], 2, CLI_CORE),
         (["depth", "--input", tri, "--point", "1/3,1/3"], 0, DEPTH_KERNEL),
         (["depth", "--input", tet, "--point", "1/4,1/4,1/4"], 0, DEPTH_KERNEL),
         (["depth", "--input", simplex4, "--point", "1/5,1/5,1/5,1/5"], 0, DEPTH_KERNEL),
