@@ -8,6 +8,8 @@ seeds and inputs rerun to byte-identical report files.  Exit codes:
 READS lists the options each mode reads; ``main`` refuses any other that
 is given (exit 2) before the subcommand runs.  An option that some mode
 refuses has no argparse default, so the namespace shows what was given.
+``transversal --frame`` reads n from the frame's rows, and checks a given
+``--n`` against them; a search's n is 2 unless given.
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads (and, without cached bytecode, compiles) only those: ``bounds``
@@ -46,8 +48,7 @@ READS = {
     "center": "--input --output",
     "simplex": "--input --force --output",
     "simplex --vertices": "--vertices --output",
-    "transversal": "--input --n --restarts --local-steps --angle --decay --seed --target "
-                   "--tsv-out --output",
+    "transversal": "--input --n --restarts --local-steps --seed --target --tsv-out --output",
     "transversal --frame": "--input --n --frame --target --output",
     "gen": "--family --seed --atoms --dim --ambient --denominator --weights --spread "
            "--no-rotate --classify --out",
@@ -240,7 +241,8 @@ def cmd_transversal(args):
     args.target = None if args.target is None else parse_frac(args.target)
     if args.frame:
         frame = OrthoFrame.from_dict(load_json(args.frame))
-        rep = verify(frame, clouds, args.n, target=args.target)
+        rep = verify(frame, clouds, frame.n if args.n is None else args.n,
+                     target=args.target)
         manifest = _manifest("transversal", inputs=args.input)
     else:
         # the search options' dests are the SearchConfig fields they set
@@ -248,7 +250,7 @@ def cmd_transversal(args):
                                  if getattr(args, f) is not None})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rep = search(clouds, args.n, config)
+            rep = search(clouds, 2 if args.n is None else args.n, config)
         for w in caught:
             sys.stderr.write("warning: %s\n" % w.message)
         manifest = _manifest("transversal", inputs=args.input, seed=config.master_seed,
@@ -344,12 +346,10 @@ def build_parser():
 
     p = sub.add_parser("transversal", help="search or verify deep projections")
     p.add_argument("--input", nargs="+", required=True)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, help="2 unless given, or the --frame's row count")
     p.add_argument("--frame", help="verify this frame instead of searching")
     p.add_argument("--restarts", type=int)
     p.add_argument("--local-steps", type=int)
-    p.add_argument("--angle", type=float, dest="initial_angle")
-    p.add_argument("--decay", type=float)
     p.add_argument("--seed", type=int, dest="master_seed")
     p.add_argument("--target", help="depth target as a rational (default improved bound)")
     p.add_argument("--tsv-out")

@@ -83,8 +83,9 @@ def generate_cloud(family, seed=None, atoms=None, dim=None, ambient=None, denomi
     A keyword that is None takes its DEFAULTS value.  Each family reads
     only the keywords READS lists for it, and any other that is given is a
     DomainError; so are dim beside ambient, and rotate where nothing is
-    embedded (adversarial-three-cluster at ambient 2).  coplanar's ambient
-    defaults to max(3, dim), adversarial-three-cluster's to dim.
+    embedded (adversarial-three-cluster at ambient 2).  The embedding
+    families' ambient is ambient, else dim, else 3 (coplanar) or 2 (the
+    cluster family), and at least 2.
     adversarial-three-cluster writes three equal clusters of
     max(1, atoms // 3) atoms each, so atoms 1 to 5 all give 3 atoms.
     """
@@ -105,6 +106,10 @@ def generate_cloud(family, seed=None, atoms=None, dim=None, ambient=None, denomi
         raise DomainError("seed must be >= 0, got %d" % seed)
     if not math.isfinite(spread):
         raise DomainError("spread must be a finite number, got %r" % (spread,))
+    if family in ("coplanar", "adversarial-three-cluster"):
+        ambient = given.get("ambient", given.get("dim", 3 if family == "coplanar" else 2))
+        if ambient < 2:
+            raise DomainError("%s needs ambient >= 2" % family)
     import numpy as np
 
     from .cloud import WeightedPointCloud
@@ -133,20 +138,13 @@ def generate_cloud(family, seed=None, atoms=None, dim=None, ambient=None, denomi
         ws = _weights(rng, atoms, weight_mode)
         return WeightedPointCloud(dim, list(zip(pts, ws)))
     if family == "coplanar":
-        if ambient is None:
-            ambient = max(3, dim)
-        if ambient < 2:
-            raise DomainError("coplanar needs ambient >= 2")
         sample = rng.standard_normal((atoms, 2))
         pts2 = [tuple(_quantize(c, denominator) for c in row) for row in sample]
         pts = _embed(pts2, ambient, rng, rotate)
         ws = _weights(rng, atoms, weight_mode)
         return WeightedPointCloud(ambient, list(zip(pts, ws)))
     # adversarial-three-cluster: three tight clusters, total weight 1/3 each
-    target_dim = dim if ambient is None else ambient
-    if target_dim < 2:
-        raise DomainError("adversarial-three-cluster needs ambient >= 2 (ambient defaults to dim)")
-    if target_dim == 2 and "rotate" in given:
+    if ambient == 2 and "rotate" in given:
         raise DomainError("adversarial-three-cluster embeds nothing at ambient 2: "
                           "it takes no rotate")
     per = max(1, atoms // 3)
@@ -163,9 +161,9 @@ def generate_cloud(family, seed=None, atoms=None, dim=None, ambient=None, denomi
                 (_quantize(cx + jx, denominator), _quantize(cy + jy, denominator))
             )
     w = Fraction(1, 3 * per)
-    if target_dim > 2:
-        pts2 = _embed(pts2, target_dim, rng, rotate)
-    return WeightedPointCloud(target_dim, [(p, w) for p in pts2])
+    if ambient > 2:
+        pts2 = _embed(pts2, ambient, rng, rotate)
+    return WeightedPointCloud(ambient, [(p, w) for p in pts2])
 
 
 def centerline_suite():

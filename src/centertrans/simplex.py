@@ -151,7 +151,8 @@ def normalize_volume(vertex_tuple, lam):
 
 
 def simplex_map(sigma_vertices):
-    """Unique linear map sending reference vertices to sigma, in order."""
+    """Unique linear map A sending reference vertices to sigma, in order:
+    A = 2 sigma^T R, since the reference vertices R (rows) have R^T R = I / 2."""
     sigma = np.asarray(sigma_vertices, dtype=float)
     n = sigma.shape[1]
     if sigma.shape[0] != n + 1:
@@ -160,21 +161,18 @@ def simplex_map(sigma_vertices):
     span = float(np.max(np.abs(sigma))) or 1.0
     if np.max(np.abs(bary)) > 1e-6 * span:
         raise DomainError("sigma vertices must have their barycenter at the origin")
-    ref = reference_simplex(n)
-    # solve A @ ref[i] = sigma[i] for i = 1..n; vertex 0 follows by linearity
-    try:
-        a = np.linalg.solve(ref[1:], sigma[1:]).T
-    except np.linalg.LinAlgError:
-        raise DegeneracyError("vertex solve is singular")
-    return a
+    return 2.0 * sigma.T @ reference_simplex(n)
 
 
-def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
+# sweeps stop when the scaled off-diagonal norm drops below _JACOBI_TOL;
+# quadratic convergence makes _JACOBI_SWEEPS generous for n <= 8
+_JACOBI_TOL, _JACOBI_SWEEPS = 1e-12, 100
+
+
+def jacobi_eigh(matrix):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
-    Returns (eigenvalues, Q) with matrix = Q diag(w) Q^T.  The sweep stops
-    when the off-diagonal norm of the scale-normalized matrix drops below
-    tol; quadratic convergence makes 100 sweeps generous for n <= 8.
+    Returns (eigenvalues, Q) with matrix = Q diag(w) Q^T.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
@@ -184,13 +182,13 @@ def jacobi_eigh(matrix, tol=1e-12, max_sweeps=100):
     scale = float(np.max(np.abs(a))) or 1.0
     a /= scale
     q = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2) * 2.0))
-        if off < tol:
+        if off < _JACOBI_TOL:
             break
         for p in range(n - 1):
             for r in range(p + 1, n):
-                if abs(a[p, r]) <= tol * 1e-3:
+                if abs(a[p, r]) <= _JACOBI_TOL * 1e-3:
                     continue
                 theta = (a[r, r] - a[p, p]) / (2.0 * a[p, r])
                 t = math.copysign(1.0, theta) / (

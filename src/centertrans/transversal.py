@@ -7,7 +7,9 @@ set of rationals, and the largest level at which one clip against the
 halfplanes of all the marginals stays nonempty is found by binary search
 with exact emptiness certificates.  The outer problem (which subspace) is
 random-restart hill climbing with plane-rotation moves; a move is
-accepted only when the exact objective strictly increases.
+accepted only when the exact objective strictly increases.  A move turns
+one frame row by an angle of _INITIAL_ANGLE radians, times _DECAY per
+rejected move since the last accepted one: a fixed schedule.
 
 For n <= 2 the objective equals the common level L: the witness, the
 centroid of the convex common region at L, has depth at least L in all
@@ -56,27 +58,22 @@ from .serialize import frac_str
 class SearchConfig:
     restarts: int = 60
     local_steps: int = 40
-    initial_angle: float = 0.6
-    decay: float = 0.7
     master_seed: int = 0
     target: Fraction = None
 
     def __post_init__(self):
         if self.restarts < 1 or self.local_steps < 0:
             raise DomainError("restarts must be >= 1 and local_steps >= 0")
-        if not 0 < self.decay < 1:
-            raise DomainError("decay must lie in (0, 1)")
-        if not 0 < self.initial_angle <= math.pi:
-            raise DomainError("initial angle must lie in (0, pi]")
         if self.master_seed < 0:
             raise DomainError("seed must be >= 0, got %d" % self.master_seed)
 
     def to_dict(self):
+        # the echo names the fixed move schedule too
         return {
             "restarts": self.restarts,
             "local_steps": self.local_steps,
-            "initial_angle": self.initial_angle,
-            "decay": self.decay,
+            "initial_angle": _INITIAL_ANGLE,
+            "decay": _DECAY,
             "master_seed": self.master_seed,
             "target": None if self.target is None else frac_str(self.target),
         }
@@ -248,6 +245,8 @@ def verify(frame, clouds, n, target=None):
 
 
 _RestartResult = namedtuple("_RestartResult", "index objective frame success")
+# a move's first turning angle (radians), and its shrink per rejected move
+_INITIAL_ANGLE, _DECAY = 0.6, 0.7
 
 
 def _run_restart(index, seed, clouds, n, target, config):
@@ -266,7 +265,7 @@ def _run_restart(index, seed, clouds, n, target, config):
     rng = np.random.default_rng(seed)
     frame = random_frame(clouds[0].dim, n, rng)
     best_val = value(frame)
-    angle = config.initial_angle
+    angle = _INITIAL_ANGLE
     step = 0
     while step < config.local_steps and best_val < target:
         step += 1
@@ -283,9 +282,9 @@ def _run_restart(index, seed, clouds, n, target, config):
         val = value(cand, best_val)
         if val > best_val:
             frame, best_val = cand, val
-            angle = config.initial_angle
+            angle = _INITIAL_ANGLE
         else:
-            angle *= config.decay
+            angle *= _DECAY
     return _RestartResult(index, best_val, frame, best_val >= target)
 
 

@@ -312,8 +312,6 @@ ARGUMENT_COMMANDS = {
     "transversal --n": ["transversal", "--input", "{tri}"],
     "--restarts": ["transversal", "--input", "{tri}"],
     "--local-steps": ["transversal", "--input", "{tri}"],
-    "--angle": ["transversal", "--input", "{tri}"],
-    "--decay": ["transversal", "--input", "{tri}"],
     "transversal --seed": ["transversal", "--input", "{tri}"],
     "--atoms": ["gen", "--family", "gaussian-quantized"],
     "gen --seed": ["gen", "--family", "gaussian-quantized"],
@@ -349,8 +347,6 @@ ARGUMENT_CATALOGUE = {
     "transversal --n": ["0", "3", "-1"] + NOT_AN_INTEGER,
     "--restarts": ["0", "-1"] + NOT_AN_INTEGER,
     "--local-steps": ["-1"] + NOT_AN_INTEGER,
-    "--angle": ["0", "-1", "4", "nan", "inf", "-inf"] + NOT_A_NUMBER,
-    "--decay": ["0", "1", "2", "-0.5", "nan", "-inf"] + NOT_A_NUMBER,
     "transversal --seed": ["-1"] + NOT_AN_INTEGER,
     "--atoms": ["0", "-1"] + NOT_AN_INTEGER,
     "gen --seed": ["-1"] + NOT_AN_INTEGER,
@@ -367,10 +363,6 @@ ARGUMENT_CATALOGUE.update(
 
 def _fraction_text(value):
     return "%d/%d" % (value.numerator, value.denominator)
-
-
-def _finite(**bounds):
-    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
 
 
 # out of each option's range, drawn from the range's complement
@@ -393,10 +385,6 @@ GENERATED_ARGUMENTS = {
     "transversal --n": st.one_of(st.integers(max_value=0), st.integers(3, 10 ** 6)),
     "--restarts": st.integers(max_value=0),
     "--local-steps": st.integers(max_value=-1),
-    "--angle": st.one_of(_finite(max_value=0), _finite(min_value=math.pi).filter(
-        lambda x: x > math.pi), st.sampled_from([math.nan, math.inf, -math.inf])),
-    "--decay": st.one_of(_finite(max_value=0), _finite(min_value=1),
-                         st.sampled_from([math.nan, math.inf, -math.inf])),
     "transversal --seed": st.integers(max_value=-1),
     "--atoms": st.integers(max_value=0),
     "gen --seed": st.integers(max_value=-1),

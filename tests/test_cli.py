@@ -561,6 +561,16 @@ def test_gen_default_spread_is_the_cluster_jitter(capsys):
     assert code == 0 and wider != default
 
 
+def test_gen_coplanar_reads_dim_as_its_ambient(capsys):
+    # --dim stands for --ambient, below coplanar's default ambient 3 too
+    code, by_dim, _ = run_cli(["gen", "--family", "coplanar", "--dim", "2"], capsys)
+    assert code == 0 and json.loads(by_dim)["dim"] == 2
+    code, by_ambient, _ = run_cli(["gen", "--family", "coplanar", "--ambient", "2"], capsys)
+    assert code == 0 and by_ambient == by_dim
+    error = _assert_bad_input(["gen", "--family", "coplanar", "--dim", "1"], capsys)
+    assert error == "error: coplanar needs ambient >= 2"
+
+
 def test_gen_planar_family_dim_1_exit_2(capsys):
     error = _assert_bad_input(
         ["gen", "--family", "adversarial-three-cluster", "--dim", "1", "--atoms", "4"], capsys
@@ -644,9 +654,9 @@ def _x_frame(tmp_path):
 
 
 @pytest.mark.parametrize("extra", [
-    ["--restarts", "3"], ["--local-steps", "3"], ["--angle", "0.5"], ["--decay", "0.5"],
-    ["--seed", "1"], ["--seed", "0"], ["--tsv-out", "trajectory.tsv"],
-], ids=["restarts", "local-steps", "angle", "decay", "seed", "seed 0", "tsv-out"])
+    ["--restarts", "3"], ["--local-steps", "3"], ["--seed", "1"], ["--seed", "0"],
+    ["--tsv-out", "trajectory.tsv"],
+], ids=["restarts", "local-steps", "seed", "seed 0", "tsv-out"])
 def test_transversal_frame_refuses_search_options(capsys, tmp_path, extra):
     # a given frame is verified, not searched for: these options were
     # dropped, and --tsv-out got an empty trajectory
@@ -656,6 +666,40 @@ def test_transversal_frame_refuses_search_options(capsys, tmp_path, extra):
         extra = ["--tsv-out", str(tmp_path / extra[1])]
     assert "--frame" in _assert_bad_input(argv + extra, capsys)
     assert not (tmp_path / "trajectory.tsv").exists()
+
+
+@pytest.mark.parametrize("frame", [False, True], ids=["search", "frame"])
+@pytest.mark.parametrize("option", ["--angle", "--decay"])
+def test_transversal_move_schedule_is_no_option(capsys, tmp_path, option, frame):
+    # the move angle (0.6) and its decay (0.7) are constants of the search
+    tri = write_triangle(tmp_path / "tri.json")
+    argv = ["transversal", "--input", tri, "--n", "1", option, "0.5"]
+    if frame:
+        argv += ["--frame", _x_frame(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % option in capsys.readouterr().err
+
+
+def test_transversal_frame_reads_n_from_its_rows(capsys, tmp_path):
+    # with no --n, n is the frame's row count
+    tri = write_triangle(tmp_path / "tri.json")
+    code, out, _ = run_cli(["transversal", "--input", tri, "--frame", _x_frame(tmp_path)],
+                           capsys)
+    report = json.loads(out)
+    assert (code, report["n"], report["objective"]) == (0, 1, "2/3")
+    # the origin holds half the mass, so its depth is 1/2 + 3/12 = 3/4
+    atoms = [{"x": ["0", "0", "0"], "w": "1/2"}] + [
+        {"x": [sign if i == j else "0" for i in range(3)], "w": "1/12"}
+        for j in range(3) for sign in ("1", "-1")]
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"dim": 3, "atoms": atoms}))
+    frame = tmp_path / "identity.json"
+    frame.write_text(json.dumps({"rows": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    code, out, _ = run_cli(["transversal", "--input", str(star), "--frame", str(frame)], capsys)
+    report = json.loads(out)
+    assert (code, report["n"], report["objective"]) == (0, 3, "3/4")
 
 
 def test_transversal_manifest_seed(capsys, tmp_path):

@@ -57,9 +57,8 @@ CASES = [
     ("simplex --vertices", "simplex --vertices {vertices}", {"--vertices": "{vertices2}"}),
     ("transversal", "transversal --input {tri} --n 1 --restarts 1 --local-steps 0",
      {"--input": "{quad}", "--n": "2", "--restarts": "2", "--local-steps": "1",
-      "--angle": "0.5", "--decay": "0.5", "--seed": "1", "--target": "1/4",
-      "--tsv-out": "{trajectory}"}),
-    ("transversal --frame", "transversal --input {tri} --n 1 --frame {xframe}",
+      "--seed": "1", "--target": "1/4", "--tsv-out": "{trajectory}"}),
+    ("transversal --frame", "transversal --input {tri} --frame {xframe}",
      {"--input": "{quad}", "--frame": "{yframe}", "--target": "1/4"}),
     ("gen", "gen --family coplanar",
      {"--family": "uniform-ball", "--seed": "1", "--atoms": "5", "--dim": "4",

@@ -64,7 +64,7 @@ def _oracle_restart(seed, clouds, n, target, config):
     ambient = clouds[0].dim
     frame = OrthoFrame(_orthonormalize(rng.standard_normal((n, ambient))))
     best_val = _objective_parts(frame, clouds, n)[0]
-    angle = config.initial_angle
+    angle = transversal._INITIAL_ANGLE
     step = accepted = 0
     while step < config.local_steps and best_val < target:
         step += 1
@@ -84,10 +84,10 @@ def _oracle_restart(seed, clouds, n, target, config):
         val = _objective_parts(cand, clouds, n)[0]
         if val > best_val:
             frame, best_val = cand, val
-            angle = config.initial_angle
+            angle = transversal._INITIAL_ANGLE
             accepted += 1
         else:
-            angle *= config.decay
+            angle *= transversal._DECAY
     return best_val, frame, accepted
 
 

@@ -95,6 +95,18 @@ def test_simplex_map_fixed_points():
     assert np.max(np.abs(a @ a.T - np.eye(2))) < 1e-10  # a simplex symmetry
 
 
+def test_simplex_map_sends_each_reference_vertex_to_sigma():
+    # the closed form 2 sigma^T R rests on sum r_i r_i^T = I / 2
+    rng = np.random.default_rng(5)
+    for n in range(1, 6):
+        ref = reference_simplex(n)
+        assert np.allclose(ref.T @ ref, np.eye(n) / 2, rtol=0, atol=1e-15)
+        sigma = rng.standard_normal((n + 1, n))
+        sigma -= sigma.mean(axis=0)
+        a = simplex_map(sigma)
+        assert np.max(np.abs(ref @ a.T - sigma)) <= 1e-12
+
+
 def test_jacobi_eigh_reconstruction():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5, 8):

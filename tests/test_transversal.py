@@ -58,6 +58,12 @@ def test_random_frame_full_basis_and_errors():
         random_frame(2, 3, 0)
 
 
+def test_search_config_fields():
+    # the move schedule is fixed, not a setting
+    assert tuple(SearchConfig.__dataclass_fields__) == (
+        "restarts", "local_steps", "master_seed", "target")
+
+
 @pytest.mark.parametrize("call", [
     lambda: SearchConfig(master_seed=-1),
     lambda: random_frame(3, 2, -1),
