@@ -257,6 +257,15 @@ def _assert_bad_input(args, capsys):
     return errors[0]
 
 
+def _argparse_error(args, capsys):
+    """The error line of a command line that argparse refuses."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    return out.err.splitlines()[-1]
+
+
 def test_depth_malformed_json_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"dim": 2, "atoms": [')
@@ -653,33 +662,26 @@ def _x_frame(tmp_path):
     return str(path)
 
 
-@pytest.mark.parametrize("extra", [
-    ["--restarts", "3"], ["--local-steps", "3"], ["--seed", "1"], ["--seed", "0"],
-    ["--tsv-out", "trajectory.tsv"],
-], ids=["restarts", "local-steps", "seed", "seed 0", "tsv-out"])
-def test_transversal_frame_refuses_search_options(capsys, tmp_path, extra):
+@pytest.mark.parametrize("extra, refusal", [
+    (["--restarts", "3"], "--frame"), (["--local-steps", "3"], "--frame"),
+    (["--angle", "0.5"], "unrecognized arguments: --angle 0.5"),
+    (["--decay", "0.5"], "unrecognized arguments: --decay 0.5"),
+    (["--seed", "1"], "--frame"), (["--seed", "0"], "--frame"),
+    (["--tsv-out", "trajectory.tsv"], "--frame"),
+], ids=["restarts", "local-steps", "angle", "decay", "seed", "seed 0", "tsv-out"])
+def test_transversal_frame_refuses_search_options(capsys, tmp_path, extra, refusal):
     # a given frame is verified, not searched for: these options were
-    # dropped, and --tsv-out got an empty trajectory
+    # dropped, and --tsv-out got an empty trajectory; the move angle (0.6)
+    # and its decay (0.7) are constants of the search, so no option at all
     tri = write_triangle(tmp_path / "tri.json")
     argv = ["transversal", "--input", tri, "--n", "1", "--frame", _x_frame(tmp_path)]
     if extra[0] == "--tsv-out":
         extra = ["--tsv-out", str(tmp_path / extra[1])]
-    assert "--frame" in _assert_bad_input(argv + extra, capsys)
+    if refusal.startswith("unrecognized"):
+        assert refusal in _argparse_error(argv + extra, capsys)
+    else:
+        assert refusal in _assert_bad_input(argv + extra, capsys)
     assert not (tmp_path / "trajectory.tsv").exists()
-
-
-@pytest.mark.parametrize("frame", [False, True], ids=["search", "frame"])
-@pytest.mark.parametrize("option", ["--angle", "--decay"])
-def test_transversal_move_schedule_is_no_option(capsys, tmp_path, option, frame):
-    # the move angle (0.6) and its decay (0.7) are constants of the search
-    tri = write_triangle(tmp_path / "tri.json")
-    argv = ["transversal", "--input", tri, "--n", "1", option, "0.5"]
-    if frame:
-        argv += ["--frame", _x_frame(tmp_path)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments: %s" % option in capsys.readouterr().err
 
 
 def test_transversal_frame_reads_n_from_its_rows(capsys, tmp_path):
