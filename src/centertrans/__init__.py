@@ -38,7 +38,6 @@ _LAZY = {
     "VertexTuple": "simplex",
     "delta_of_vertices": "simplex",
     "jacobi_eigh": "simplex",
-    "normalize_volume": "simplex",
     "polar_decompose": "simplex",
     "positive_dependence": "simplex",
     "reference_simplex": "simplex",
@@ -46,7 +45,6 @@ _LAZY = {
     "witness_vertices": "simplex",
     "SearchConfig": "transversal",
     "TransversalReport": "transversal",
-    "objective": "transversal",
     "random_frame": "transversal",
     "search": "transversal",
     "verify": "transversal",

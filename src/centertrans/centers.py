@@ -8,7 +8,8 @@ For atomic measures the deepest point is generally a region rather than
 a point, so the region centroid is an explicit convention of this
 artifact (reports carry the label); it coincides with the deepest point
 whenever that point is unique.  Equality with the bound routes to the
-sufficient branch, where the region is achieved and full rank.
+sufficient branch, where the region is achieved and full rank.  The
+classification is center_point's alone: ``classify`` returns its label.
 
 The depth of the measure and its region come from one level search in
 ``depth``, which reads a measure on the line as its atoms on the x axis
@@ -35,7 +36,6 @@ from .depth import (
     _DirectionTable,
     _deepest_common_region,
     _region_vertices,
-    depth_of_measure,
 )
 from .errors import DomainError, InternalConsistencyError
 from .serialize import frac_str
@@ -72,14 +72,6 @@ def _check_exact_dim(cloud, n):
         raise DomainError("exact classification is available for n <= 2 only")
 
 
-def classify(cloud, n):
-    """'insufficient' iff max depth < improved bound, by exact comparison."""
-    _check_exact_dim(cloud, n)
-    dm, _ = depth_of_measure(cloud)
-    improved = thresholds(n)[1]
-    return INSUFFICIENT if dm.value < improved else SUFFICIENT
-
-
 def _c_region(table, n, level):
     """(level, tau, loop) of the n-dimensional cloud whose direction table
     this is: c is the centroid of loop, its raw region at tau.
@@ -113,3 +105,8 @@ def center_point(cloud, n):
         c=region.centroid()[:n],
         region=region if n == 2 else None,
     )
+
+
+def classify(cloud, n):
+    """'insufficient' iff max depth < improved bound: center_point's label."""
+    return center_point(cloud, n).classification

@@ -46,7 +46,7 @@ READS = {
     "depth --point": "--input --point --tsv-out --output",
     "depth --region": "--input --region --tsv-out --output",
     "center": "--input --output",
-    "simplex": "--input --force --output",
+    "simplex": "--input --output",
     "simplex --vertices": "--vertices --output",
     "transversal": "--input --n --restarts --local-steps --seed --target --tsv-out --output",
     "transversal --frame": "--input --n --frame --target --output",
@@ -224,7 +224,7 @@ def cmd_simplex(args):
         report["vertex_source"] = "file"
     else:
         cloud = _load_cloud(args.input)
-        tup = witness_vertices(cloud, force=args.force)
+        tup = witness_vertices(cloud)
         report["vertex_source"] = "surrogate-sector-barycenter"
     placement = delta_of_vertices(tup)
     report["vertices"] = [list(v) for v in tup.vertices]
@@ -339,8 +339,6 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="cloud file (sector-barycenter surrogate)")
     source.add_argument("--vertices", help="vertex tuple json file")
-    p.add_argument("--force", action="store_true", default=None,
-                   help="build the surrogate even for sufficient depth")
     p.add_argument("--output")
     p.set_defaults(func=cmd_simplex)
 

@@ -18,6 +18,8 @@ from .errors import DomainError
 from .serialize import float_rows, frac_str, json_field, parse_frac, tsv
 
 FRAME_QUANTIZE_DIGITS = 12
+# the largest Gram defect |<r_i, r_j> - [i = j]| a frame may have
+FRAME_GRAM_BOUND = 1e-9
 
 
 def _as_fraction(x):
@@ -165,11 +167,13 @@ def quantize_entry(value):
 class OrthoFrame:
     """n orthonormal rows spanning an n-dimensional subspace of R^N.
 
+    The rows' Gram matrix must be the identity to within FRAME_GRAM_BOUND.
     ``int_rows`` = (R, rows * R) holds the rows quantized by
-    ``quantize_entry``, R the lcm of their denominators.
+    ``quantize_entry``, R the lcm of their denominators.  A frame file
+    holds ``rows`` and, optionally, ``ambient``, which must be their length.
     """
 
-    def __init__(self, rows, tolerance=1e-9):
+    def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
         if not rows:
             raise DomainError("frame needs at least one row")
@@ -178,10 +182,6 @@ class OrthoFrame:
             raise DomainError("frame rows must share one length")
         if len(rows) > ambient:
             raise DomainError("more rows than ambient dimension")
-        tolerance = float(tolerance)
-        # a NaN or infinite tolerance would pass any Gram defect
-        if not math.isfinite(tolerance) or tolerance < 0:
-            raise DomainError("tolerance must be finite and >= 0, got %r" % (tolerance,))
         g = [[float(x) for x in r] for r in rows]
         if not all(math.isfinite(x) for r in g for x in r):
             raise DomainError("frame rows must be finite numbers")
@@ -190,14 +190,12 @@ class OrthoFrame:
                          for i, a in enumerate(g) for j, b in enumerate(g))
         except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
             defect = math.inf
-        if defect > max(tolerance, 1e-15):
+        if defect > FRAME_GRAM_BOUND:
             raise DomainError(
-                "rows are not orthonormal: Gram defect %.3e > tolerance %.3e"
-                % (defect, tolerance)
+                "rows are not orthonormal: Gram defect %.3e > %.3e" % (defect, FRAME_GRAM_BOUND)
             )
         self.rows = rows
         self.ambient = ambient
-        self.tolerance = tolerance
         self.int_rows = _over_lcm([[quantize_entry(x) for x in r] for r in rows])
 
     @property
@@ -209,22 +207,17 @@ class OrthoFrame:
         cols = list(zip(*([float(x) for x in r] for r in self.rows)))
         return [[dot(a, b) for b in cols] for a in cols]
 
-    def to_dict(self):
-        return {
-            "ambient": self.ambient,
-            "rows": [[float(x) for x in r] for r in self.rows],
-            "tolerance": self.tolerance,
-        }
-
     @classmethod
     def from_dict(cls, data):
         rows = float_rows(json_field(data, "rows", "frame"), "frame rows")
-        tolerance = data.get("tolerance", 1e-9)
-        try:
-            # float() would read a boolean as 0 or 1
-            if isinstance(tolerance, bool):
-                raise TypeError
-            tolerance = float(tolerance)
-        except (TypeError, ValueError):
-            raise DomainError("frame tolerance %r is not a number" % (tolerance,)) from None
-        return cls(rows, tolerance=tolerance)
+        unknown = sorted(data.keys() - {"ambient", "rows"})
+        if unknown:
+            raise DomainError("frame has unknown keys %s; it holds rows and ambient"
+                              % ", ".join(map(repr, unknown)))
+        frame = cls(rows)
+        ambient = data.get("ambient", frame.ambient)
+        # a boolean is an int to Python, and 2.0 == 2
+        if type(ambient) is not int or ambient != frame.ambient:
+            raise DomainError("frame ambient %r is not its rows' length %d"
+                              % (ambient, frame.ambient))
+        return frame

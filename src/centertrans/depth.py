@@ -369,8 +369,7 @@ class _DirectionTable:
         if cloud.dim > 2:
             raise DomainError("direction table requires a cloud on the line or in the plane")
         self.coord_scale, ipts = cloud.int_points
-        on_line = cloud.dim == 1
-        if on_line:
+        if cloud.dim == 1:
             ipts = [(x, 0) for (x,) in ipts]
         self.weight_den, ws = cloud.int_weights
         xs = [p[0] for p in ipts]
@@ -391,29 +390,24 @@ class _DirectionTable:
         # other atom on it, so only i's pairs append.  The blocks keep these
         # ints: take them from one list, not from a range per i
         index = list(range(len(pts)))
-        if on_line:
-            # every atom lies on the one line (0, 1, 0), where the first atom
-            # pairs with all the others: the pair loop would build the same
-            lines = {(0, 1, 0): index} if len(pts) > 1 else {}
-        else:
-            lines = {}
-            for i, (ax, ay) in zip(index, pts):
-                for j in index[i + 1:]:
-                    bx, by = pts[j]
-                    ny = ax - bx
-                    if ny:
-                        nx = by - ay
-                        g = math.gcd(nx, ny)
-                        nx //= g
-                        ny //= g
-                    else:
-                        nx = 1
-                    key = (nx, ny, nx * ax + ny * ay)
-                    atoms = lines.get(key)
-                    if atoms is None:
-                        lines[key] = [i, j]
-                    elif atoms[0] == i:
-                        atoms.append(j)
+        lines = {}
+        for i, (ax, ay) in zip(index, pts):
+            for j in index[i + 1:]:
+                bx, by = pts[j]
+                ny = ax - bx
+                if ny:
+                    nx = by - ay
+                    g = math.gcd(nx, ny)
+                    nx //= g
+                    ny //= g
+                else:
+                    nx = 1
+                key = (nx, ny, nx * ax + ny * ay)
+                atoms = lines.get(key)
+                if atoms is None:
+                    lines[key] = [i, j]
+                elif atoms[0] == i:
+                    atoms.append(j)
         ties = {}
         for (nx, ny, _), atoms in lines.items():
             ties.setdefault((nx, ny), []).append(atoms)

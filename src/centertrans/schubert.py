@@ -87,13 +87,6 @@ class Cochain:
         body = " + ".join(str(a) for a in self.sorted_support())
         return "Cochain(%r, %s)" % (self.context, body)
 
-    def to_dict(self):
-        return {
-            "n": self.context.n,
-            "codim": self.context.codim,
-            "support": [list(a) for a in self.sorted_support()],
-        }
-
 
 def unit(context):
     return Cochain(context, [(0,) * context.n])

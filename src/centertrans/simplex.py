@@ -131,7 +131,8 @@ def positive_dependence(vertex_tuple):
 
 
 def _scaled_simplex(vertex_tuple, lam):
-    """(sigma_vertices, scaled lambda) with unit simplex volume."""
+    """(sigma_vertices, scaled lambda): lambda * v rescaled to enclose unit
+    volume (volume scales as t^n)."""
     v = vertex_tuple.as_array()
     n = vertex_tuple.n
     q = lam[:, None] * v
@@ -142,12 +143,6 @@ def _scaled_simplex(vertex_tuple, lam):
         raise DegeneracyError("scaled vertex tuple has zero volume")
     t = vol ** (-1.0 / n)
     return t * q, t * lam
-
-
-def normalize_volume(vertex_tuple, lam):
-    """Rescale lambda*v to enclose unit volume (volume scales as t^n)."""
-    sigma, _ = _scaled_simplex(vertex_tuple, np.asarray(lam, dtype=float))
-    return sigma
 
 
 def simplex_map(sigma_vertices):
@@ -239,8 +234,9 @@ def delta_of_vertices(vertex_tuple):
     )
 
 
-def witness_vertices(cloud, force=False):
-    """Sector-barycenter vertex tuple for a measure of insufficient depth.
+def witness_vertices(cloud):
+    """Sector-barycenter vertex tuple for a measure of insufficient depth;
+    a measure of sufficient depth raises DomainError.
 
     This is a labeled surrogate, not a construction from the literature:
     atoms are split into n+1 equal angular sectors around the associated
@@ -256,10 +252,9 @@ def witness_vertices(cloud, force=False):
     if n > 2:
         raise DomainError("vertex surrogate is available for dim <= 2 only")
     report = center_point(cloud, n)
-    if report.classification != INSUFFICIENT and not force:
-        raise DomainError(
-            "measure has sufficient depth; pass --force (force=True) to build a tuple anyway"
-        )
+    if report.classification != INSUFFICIENT:
+        raise DomainError("measure has sufficient depth; the surrogate is built "
+                          "for insufficient depth only")
     c = np.array([float(x) for x in report.c])
     pts = np.array([[float(x) for x in p] for p in cloud.points()]) - c
     ws = np.array([float(w) for w in cloud.weights()])

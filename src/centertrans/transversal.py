@@ -179,17 +179,6 @@ def _objective_parts(frame, clouds, n):
     return min(per), witness, per, tables
 
 
-def objective(frame, clouds, n):
-    """(exact least depth at the witness, witness point) for the frame.
-
-    The value is the minimum over measures of the exact depth at the
-    witness.  For n <= 2 the witness is the centroid of the deepest common
-    region, and the value equals the common level.
-    """
-    _check_clouds(clouds)
-    return _objective_parts(frame, clouds, n)[:2]
-
-
 def _check_clouds(clouds):
     # _images checks a frame's ambient dimension against each cloud's
     if not clouds:

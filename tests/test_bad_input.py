@@ -50,9 +50,8 @@ BAD_RATIONAL_TEXT = [x for x in BAD_RATIONALS if isinstance(x, str)]
 BAD_FLOATS = [float("nan"), float("inf"), float("-inf"), True, False, None, "a", "", "nan",
               [], {}]
 
-# float() would read a boolean as 0 or 1; a NaN or infinite tolerance
-# passes any Gram defect
-BAD_TOLERANCES = [True, False, float("nan"), float("inf"), -1, "x", None, []]
+# a frame's Gram bound is fixed: a tolerance key of any value is refused
+BAD_TOLERANCES = [True, False, float("nan"), float("inf"), -1, "x", None, [], 1e-9]
 
 bad_rational = st.sampled_from(BAD_RATIONALS)
 bad_rational_text = st.sampled_from(BAD_RATIONAL_TEXT)
@@ -124,7 +123,7 @@ def frames(draw):
     sign = draw(st.sampled_from((1, -1)))
     doc = {"rows": [first, [sign * c for c in second]]}
     if draw(st.booleans()):
-        doc["tolerance"] = 1e-9
+        doc["ambient"] = 2
     return doc
 
 
@@ -139,6 +138,7 @@ def frame_edits(draw, doc):
         (("rows", i), st.sampled_from([None, 5, rows[i][:-1], rows[i] + [0]])),
         (("rows", i, j), bad_float),
         (("tolerance",), st.sampled_from(BAD_TOLERANCES)),
+        (("ambient",), st.sampled_from([0, 1, 3, True, 2.0, "2", None, [2]])),
     ]
 
 

@@ -438,14 +438,13 @@ def test_simplex_malformed_vertices_exit_2(capsys, tmp_path, vertices):
     _assert_bad_input(["simplex", "--vertices", str(vfile)], capsys)
 
 
-def test_simplex_sufficient_cloud_names_force_flag(capsys, tmp_path):
+def test_simplex_sufficient_cloud_exit_2(capsys, tmp_path):
     # one atom has depth 1: its measure is sufficient, so no surrogate
     path = tmp_path / "point.json"
     path.write_text(json.dumps({"dim": 2, "atoms": [{"x": ["0", "0"], "w": "1"}]}))
     error = _assert_bad_input(["simplex", "--input", str(path)], capsys)
-    assert "--force" in error
-    code, out, _ = run_cli(["simplex", "--input", str(path), "--force"], capsys)
-    assert code == 2 and out == ""  # one atom spans no sector: still no tuple
+    assert error == ("error: measure has sufficient depth; the surrogate is built "
+                     "for insufficient depth only")
 
 
 def test_simplex_takes_exactly_one_source(capsys, tmp_path):
@@ -732,14 +731,18 @@ def test_transversal_frame_of_another_ambient_dimension_exit_2(capsys, tmp_path)
     "frame",
     [{"rows": [["a"]]}, {"rows": [[1, 0], [0, 1]], "tolerance": "x"}, {"rows": 5},
      {"rows": [[1, 0], [0, float("nan")]]}, {"rows": [[1, 0], [0, float("inf")]]},
-     # a rank-1 frame: only a finite tolerance catches its Gram defect of 1
+     # a rank-1 frame, with a tolerance that once let its Gram defect of 1 pass
      {"rows": [[1, 0], [1, 0]], "tolerance": float("nan")},
      {"rows": [[1, 0], [1, 0]], "tolerance": float("inf")},
      {"rows": [[True, 0], [0, 1]]},
      # finite entries whose Gram sums leave the float range
-     {"rows": [[1e200, 1e200], [1e200, -1e200]]}, {"rows": [[1e154, 1e154], [0, 1]]}],
+     {"rows": [[1e200, 1e200], [1e200, -1e200]]}, {"rows": [[1e154, 1e154], [0, 1]]},
+     # a frame file holds rows and, if given, their length as ambient
+     {"ambient": 3, "rows": [[1, 0], [0, 1]]}, {"ambient": True, "rows": [[1, 0]]},
+     {"rows": [[1, 0], [0, 1]], "tolerance": 1e-9}, {"ambient": 2, "rows": [[1, 0]], "bogus": 1}],
     ids=["entry", "tolerance", "rows", "nan entry", "infinite entry",
-         "nan tolerance", "infinite tolerance", "boolean entry", "inf - inf", "sum overflow"],
+         "nan tolerance", "infinite tolerance", "boolean entry", "inf - inf", "sum overflow",
+         "ambient of other rows", "boolean ambient", "tolerance key", "unknown key"],
 )
 def test_transversal_malformed_frame_exit_2(capsys, tmp_path, frame):
     cloud = write_triangle(tmp_path / "tri.json")
@@ -826,8 +829,6 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
     broken.write_text('{"dim": 2, "atoms": [')
     plane = tmp_path / "plane.json"
     plane.write_text(json.dumps({"ambient": 2, "rows": [[0.6, 0.8], [-0.8, 0.6]]}))
-    vertices = tmp_path / "vertices.json"
-    vertices.write_text(json.dumps({"vertices": [[1, 0], [-0.5, 0.8], [-0.5, -0.8]]}))
     # (argv, exit code, modules loaded); None imports only the package and
     # [] only the CLI module
     cases = [
@@ -843,10 +844,9 @@ def test_exact_subcommands_do_not_import_numpy(tmp_path):
         # a --codim beside an obstruction check is refused before schubert loads
         (["schubert", "--n", "2", "--m", "2", "--codim", "9", "--check", "power2free"], 2,
          CLI_CORE),
-        # so are --m beside a check that reads none, and --force beside --vertices
+        # and so is --m beside a check that reads none
         (["schubert", "--n", "2", "--codim", "3", "--m", "5", "--check", "heights"], 2,
          CLI_CORE),
-        (["simplex", "--vertices", str(vertices), "--force"], 2, CLI_CORE),
         # and --tsv-out without --point or --region, before the cloud loads
         (["depth", "--input", tri, "--tsv-out", str(tmp_path / "x.tsv")], 2, CLI_CORE),
         (["depth", "--input", tri, "--point", "1/3,1/3"], 0, DEPTH_KERNEL),

@@ -19,7 +19,6 @@ EXEMPT = {
     "--output": "it changes where the report goes, not the report",
     "--out": "it changes where the cloud goes, not the cloud",
     "--classify": "it writes the label to stderr",
-    "--force": "it needs a cloud of sufficient depth, which exits 2 without it",
 }
 # an option whose value is rounded, so that two values write the same bytes
 # (the second values below avoid it): two such values, and why
@@ -33,9 +32,10 @@ COUPLED = {
     "schubert --n": ("3", "error: expected 3 exponents, got 2"),
     "transversal --frame --n": ("2", "error: frame has 1 rows, expected n = 2"),
 }
-# options the transversal search once read, whose values are now constants
-# of the search: argparse refuses them in every transversal mode
-GONE = {"--angle": "0.5", "--decay": "0.5"}
+# options a subcommand once read, and a value of each (None for a flag):
+# argparse refuses them in every mode of the subcommand.  The search's move
+# schedule is fixed, and simplex builds a surrogate for insufficient depth only
+GONE = {"transversal": {"--angle": "0.5", "--decay": "0.5"}, "simplex": {"--force": None}}
 # a command line of each mode, and a second value of each option it reads
 # (None for a flag); "{name}" is a file of the workdir
 CASES = [
@@ -100,7 +100,7 @@ def files(tmp_path_factory):
 
     cloud("tri", [("0", "0"), ("1", "0"), ("0", "1")])
     cloud("quad", [("0", "0"), ("2", "0"), ("0", "1"), ("1", "3")])
-    # three clusters: insufficient depth, so simplex needs no --force
+    # three clusters: insufficient depth, so simplex builds a surrogate
     cloud("clusters", [("0", "1"), ("0", "11/10"), ("-1", "-1/2"), ("-11/10", "-1/2"),
                        ("1", "-1/2"), ("11/10", "-1/2")])
     cloud("clusters2", [("0", "1"), ("1/10", "1"), ("-1", "-1/2"), ("-1", "-3/5"),
@@ -146,8 +146,8 @@ INSIDE = [(mode, base, option, value) for mode, base, seconds in CASES
 OUTSIDE = [(mode, base, option) for mode, base, _ in CASES
            for option in _actions(base.split()[0])
            if option not in _reads(mode) | _qualifiers(base.split()[0])] + [
-    (mode, base, option) for mode, base, _ in CASES if mode.startswith("transversal")
-    for option in GONE]
+    (mode, base, option) for mode, base, _ in CASES
+    for option in GONE.get(base.split()[0], ())]
 
 
 def test_the_cases_cover_every_mode_and_option():
@@ -190,7 +190,8 @@ def test_a_coupled_option_is_checked(files, key):
 def test_an_option_outside_the_mode_exits_2(files, mode, base, option):
     command = base.split()[0]
     destination = "--out" if command == "gen" else "--output"
-    value = next((s[option] for _, _, s in CASES if option in s), GONE.get(option))
+    gone = GONE.get(command, {})
+    value = next((s[option] for _, _, s in CASES if option in s), gone.get(option))
     argv = base.split() + _arguments(option, value) + [destination, "{report}"]
     code, out, err, written = _run(files, argv)
     assert (code, out, written) == (2, "", {})
@@ -198,8 +199,8 @@ def test_an_option_outside_the_mode_exits_2(files, mode, base, option):
     assert len(errors) == 1, err
     if (mode, option) == ("simplex --vertices", "--input"):  # an argparse group
         assert errors[0].endswith("not allowed with argument --vertices")
-    elif option in GONE:
-        assert errors[0].endswith("unrecognized arguments: %s %s" % (option, value))
+    elif option in gone:
+        assert errors[0].endswith("unrecognized arguments: " + " ".join(_arguments(option, value)))
     else:
         assert errors[0] == "error: %s takes no %s" % (mode, option)
 

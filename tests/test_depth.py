@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from fractions import Fraction
 
@@ -482,15 +483,18 @@ def test_library_rejects_non_numeric_objects():
             call()
 
 
-@pytest.mark.parametrize(
-    "rows, tolerance",
-    [([(1, 0), (0, 1)], float("nan")), ([(1, 0), (0, 1)], float("inf")),
-     ([(1, 0), (0, 1)], -1.0), ([(1, 0), (0, float("nan"))], 1e-9),
-     ([(1, 0), (0, float("inf"))], 1e-9)],
-)
-def test_frame_rejects_non_finite_or_negative_input(rows, tolerance):
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_frame_rejects_non_finite_entries(entry):
     with pytest.raises(DomainError):
-        OrthoFrame(rows, tolerance=tolerance)
+        OrthoFrame([(1, 0), (0, entry)])
+
+
+def test_frame_takes_only_its_rows():
+    # the Gram bound is the constant 1e-9, not a setting
+    assert list(inspect.signature(OrthoFrame).parameters) == ["rows"]
+    assert OrthoFrame([(1, 0), (1e-9, 1)]).n == 2
+    with pytest.raises(DomainError, match="Gram defect"):
+        OrthoFrame([(1, 0), (2e-9, 1)])
 
 
 def test_cloud_serialization_roundtrip():

@@ -214,7 +214,7 @@ LINE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(LINE_CASES))
 def test_line_table_is_the_sweep_on_the_x_axis(name):
-    # a cloud on the line skips the pair loop and names its one line directly
+    # a cloud on the line is swept as its atoms (x, 0) on the x axis
     total = sum(w for _, w in LINE_CASES[name])
     atoms = [(x, F(w, total)) for x, w in LINE_CASES[name]]
     table = _DirectionTable(WeightedPointCloud(1, [((x,), w) for x, w in atoms]))

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centertrans.centers as centers
-from centertrans import polygon
+from centertrans import depth, polygon
 from centertrans.centers import INSUFFICIENT, SUFFICIENT, center_point
 from centertrans.cloud import OrthoFrame, WeightedPointCloud
 from centertrans.depth import (
@@ -187,7 +187,9 @@ def test_center_point_does_not_call_depth_of_measure(monkeypatch):
     for c, n, _ in cases:
         dv, _ = depth_of_measure(c)
         expected.append(dv.value)
-    monkeypatch.setattr(centers, "depth_of_measure", forbidden)
+    # centers imports no depth_of_measure, so only depth's own name reaches it
+    assert not hasattr(centers, "depth_of_measure")
+    monkeypatch.setattr(depth, "depth_of_measure", forbidden)
     for (c, n, label), dm in zip(cases, expected):
         rep = center_point(c, n)
         assert rep.depth_of_measure == dm

@@ -243,12 +243,6 @@ def test_height_lower_bound():
             assert height_w1(ctx(n, codim)) >= codim
 
 
-def test_serialization_roundtrip():
-    c = monomial(ctx(2, 5), (2, 3))
-    data = c.to_dict()
-    assert data == {"n": 2, "codim": 5, "support": [[3, 5], [4, 4]]}
-
-
 def test_add_requires_same_context():
     with pytest.raises(DomainError):
         unit(ctx(2, 2)) + unit(ctx(2, 3))

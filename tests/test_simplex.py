@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -18,7 +19,6 @@ from centertrans.simplex import (
     VertexTuple,
     delta_of_vertices,
     jacobi_eigh,
-    normalize_volume,
     polar_decompose,
     positive_dependence,
     reference_simplex,
@@ -74,15 +74,14 @@ def test_positive_dependence_degenerate_kernel():
 
 def test_normalize_volume():
     tup = VertexTuple.of([(1, 0), (0, 1), (-1, -1)])
-    lam = positive_dependence(tup)
-    sigma = normalize_volume(tup, lam)
+    sigma = delta_of_vertices(tup).sigma_vertices
     t = math.sqrt(2.0 / 3.0)
     assert np.allclose(sigma, t * tup.as_array(), atol=1e-12)
     edges = sigma[1:] - sigma[0]
     assert abs(abs(np.linalg.det(edges)) / 2.0 - 1.0) < 1e-12
     # scaling the input leaves sigma unchanged
     tup2 = VertexTuple.of(5.0 * tup.as_array())
-    sigma2 = normalize_volume(tup2, positive_dependence(tup2))
+    sigma2 = delta_of_vertices(tup2).sigma_vertices
     assert np.allclose(sigma, sigma2, atol=1e-12)
 
 
@@ -235,18 +234,13 @@ def test_witness_vertices_requires_insufficient():
 
 
 def test_witness_vertices_ray_cloud_unavailable():
-    pts = [(1, 0), (2, 0), (4, 0)]
-    cloud = WeightedPointCloud(2, [(tuple(map(F, p)), F(1, 3)) for p in pts])
+    # depth 13/25 < 13/24 at c = 0, the heavier atom: every other atom lies
+    # on the ray x > 0, so the sector x < 0 is empty at every offset
+    cloud = WeightedPointCloud(1, [((F(0),), F(13, 25)), ((F(1),), F(12, 25))])
     with pytest.raises(SurrogateUnavailableError):
-        witness_vertices(cloud, force=True)
+        witness_vertices(cloud)
 
 
-def test_witness_vertices_hexagon_forced():
-    atoms = []
-    for k in range(6):
-        x = F(round(math.cos(math.pi * k / 3) * 1000), 1000)
-        y = F(round(math.sin(math.pi * k / 3) * 1000), 1000)
-        atoms.append(((x, y), F(1, 6)))
-    cloud = WeightedPointCloud(2, atoms)
-    tup = witness_vertices(cloud, force=True)
-    assert positive_dependence(tup) is not None
+def test_witness_vertices_takes_only_the_cloud():
+    # whether a surrogate exists is the cloud's depth alone: no override
+    assert list(inspect.signature(witness_vertices).parameters) == ["cloud"]

@@ -12,7 +12,7 @@ from centertrans.generators import generate_cloud
 from centertrans.serialize import dump_json
 from centertrans.transversal import (
     SearchConfig,
-    objective,
+    _objective_parts,
     random_frame,
     search,
     verify,
@@ -80,7 +80,7 @@ def test_objective_single_measure_reduces_to_depth():
     c2 = planar_cloud()
     c3 = embedded(c2)
     frame = axis_frame(3)
-    value, witness = objective(frame, [c3], 2)
+    value = verify(frame, [c3], 2).objective
     dm, _ = depth_of_measure(c2)
     assert value == dm.value
     assert set(marginal(c3, frame).atoms) == set(c2.atoms)
@@ -91,7 +91,7 @@ def test_objective_coplanar_support_matches_in_plane():
     b2 = planar_cloud(seed=6)
     frame = axis_frame(4)
     a4, b4 = embedded(a2, 4), embedded(b2, 4)
-    value, witness = objective(frame, [a4, b4], 2)
+    value = verify(frame, [a4, b4], 2).objective
     # recompute entirely in the plane
     from centertrans.depth import _DirectionTable
     from centertrans.transversal import _common_level
@@ -106,11 +106,11 @@ def test_objective_coplanar_support_matches_in_plane():
 def test_objective_monotone_infeasible_target():
     c = embedded(planar_cloud(seed=9))
     frame = axis_frame(3)
-    value, _ = objective(frame, [c], 2)
+    value = verify(frame, [c], 2).objective
     assert value < 1  # tau = 1 is infeasible for a spread-out cloud
 
 
-@pytest.mark.parametrize("call", [verify, objective], ids=["verify", "objective"])
+@pytest.mark.parametrize("call", [verify, _objective_parts], ids=["verify", "objective"])
 @pytest.mark.parametrize("ambient", [2, 4])
 def test_frame_of_another_ambient_dimension_is_refused(call, ambient):
     # depth._images checks the frame's ambient dimension on every projection
@@ -129,8 +129,7 @@ def test_search_degenerate_config_is_single_frame():
     from centertrans.transversal import _orthonormalize
 
     frame = OrthoFrame(_orthonormalize(rng.standard_normal((2, 3))))
-    value, _ = objective(frame, [c], 2)
-    assert rep.objective == value
+    assert rep.objective == verify(frame, [c], 2).objective
     assert rep.restart_index == 0
     assert not rep.success
 
@@ -183,7 +182,7 @@ def test_orthogonal_equivariance_of_objective():
     c2 = planar_cloud(seed=19, atoms=8)
     c3 = embedded(c2)
     frame = random_frame(3, 2, 5)
-    value, _ = objective(frame, [c3], 2)
+    value = verify(frame, [c3], 2).objective
     # rotate cloud and frame by an exact rational orthogonal map
     q = [
         [F(3, 5), F(-4, 5), F(0)],
@@ -198,7 +197,7 @@ def test_orthogonal_equivariance_of_objective():
         tuple(sum(q[i][j] * r[j] for j in range(3)) for i in range(3)) for r in rows
     ]
     frame_q = OrthoFrame(rot_rows)
-    value_q, _ = objective(frame_q, [c3q], 2)
+    value_q = verify(frame_q, [c3q], 2).objective
     assert value_q == value
 
 
